@@ -13,7 +13,6 @@
 #include "quic/frame.hpp"
 #include "quic/packet.hpp"
 #include "quic/rtt_estimator.hpp"
-#include "quic/varint.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -26,7 +25,7 @@ void BM_VarintEncode(benchmark::State& state) {
     out.reserve(16);
     for (auto _ : state) {
         out.clear();
-        quic::encode_varint(out, value);
+        bytes::encode_varint(out, value);
         benchmark::DoNotOptimize(out.data());
     }
 }
@@ -34,9 +33,9 @@ BENCHMARK(BM_VarintEncode)->Arg(37)->Arg(15293)->Arg(494878333)->Arg(1LL << 40);
 
 void BM_VarintDecode(benchmark::State& state) {
     std::vector<std::uint8_t> wire;
-    quic::encode_varint(wire, static_cast<std::uint64_t>(state.range(0)));
+    bytes::encode_varint(wire, static_cast<std::uint64_t>(state.range(0)));
     for (auto _ : state) {
-        auto decoded = quic::decode_varint(wire);
+        auto decoded = bytes::decode_varint(wire);
         benchmark::DoNotOptimize(decoded);
     }
 }

@@ -14,9 +14,9 @@
 //              directly comparable with the endpoint Fig. 3/4 pipeline;
 //   synthetic  a flow-scale sweep (default 256K flows/row plus the 1M-flow
 //              roadmap point) of handcrafted short-header streams whose
-//              per-flow ground truth is the float-EWMA reference — the
-//              idealized result, per the differential suite's equivalence
-//              proof — computed from the identical sample sequence.
+//              per-flow ground truth is the smoothed estimate of a
+//              core::SpinEdgeObserver fed the identical packet sequence —
+//              the idealized observer's answer.
 //
 // Per-row guarded metrics: coverage (measured/candidates), mean_abs_err_ms
 // vs the reference, within_25ms_share, and packets_per_sec (wall, wide
@@ -31,6 +31,7 @@
 #include "analysis/observer.hpp"
 #include "bench/bench_common.hpp"
 #include "core/constrained_monitor.hpp"
+#include "core/observer.hpp"
 #include "scanner/campaign.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
@@ -111,40 +112,24 @@ struct FlowTruth {
     bool candidate = false;
 };
 
-/// Float-EWMA reference per flow — the idealized observer's answer (the
-/// differential suite proves FlowMonitor matches this path exactly).
+/// Per-flow reference: the smoothed spin RTT of a float SpinEdgeObserver fed
+/// the flow's packets in order (the arrival index stands in for the PN) —
+/// the idealized observer's answer. Each synthetic row measures how far the
+/// integer ConstrainedMonitor strays from it under one budget.
 std::vector<FlowTruth> reference_pass(std::uint64_t seed, std::uint64_t flows,
                                       std::uint64_t packets_per_flow) {
     std::vector<FlowTruth> truth(flows);
     FlowStream stream;
     for (std::uint64_t i = 0; i < flows; ++i) {
         stream.init(seed, i);
-        bool have_value = false, value = false, saw_zero = false, saw_one = false;
-        std::int64_t last_edge_ns = -1;
-        double srtt_ms = 0.0;
-        bool have_srtt = false;
+        core::SpinEdgeObserver observer;
         for (std::uint64_t p = 0; p < packets_per_flow; ++p) {
             const auto [t, spin] = stream.next();
-            (spin ? saw_one : saw_zero) = true;
-            if (!have_value) {
-                have_value = true;
-                value = spin;
-                continue;
-            }
-            if (spin == value) continue;
-            value = spin;
-            if (last_edge_ns < 0) {
-                last_edge_ns = t;
-                continue;
-            }
-            const double sample_ms =
-                static_cast<double>(t - last_edge_ns) / 1e6;
-            last_edge_ns = t;
-            srtt_ms = have_srtt ? srtt_ms + (sample_ms - srtt_ms) / 8.0 : sample_ms;
-            have_srtt = true;
+            observer.on_packet(core::SpinObservation{util::TimePoint::from_nanos(t), p, spin});
         }
-        truth[i].ref_srtt_ms = srtt_ms;
-        truth[i].candidate = saw_zero && saw_one && have_srtt;
+        const auto srtt_ms = observer.smoothed_ms();
+        truth[i].ref_srtt_ms = srtt_ms.value_or(0.0);
+        truth[i].candidate = observer.result().spin_candidate() && srtt_ms.has_value();
     }
     return truth;
 }

@@ -72,7 +72,7 @@ void BM_EncodeDeliverDecode(benchmark::State& state) {
     for (auto _ : state) {
         netsim::Datagram wire = pooled ? pool.acquire(1500) : netsim::Datagram{};
         header.packet_number = pn++;
-        quic::Writer w{wire};
+        bytes::ByteWriter w{wire};
         quic::encode_short_header(w, header, quic::kInvalidPacketNumber);
         quic::encode_frames(w, frames, 3);
         link.send(std::move(wire));

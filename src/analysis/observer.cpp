@@ -4,7 +4,6 @@
 #include <cmath>
 #include <tuple>
 
-#include "core/flow_monitor.hpp"
 #include "quic/packet.hpp"
 #include "util/rng.hpp"
 
@@ -25,7 +24,6 @@ void ObserverReplay::add(const qlog::Trace& trace) {
     connections_.push_back(std::move(conn));
 
     std::uint32_t seq = 0;
-    events_.reserve(events_.size() + observations.size());
     for (const auto& obs : observations) {
         events_.push_back(Event{obs.time.count_nanos(), conn_index, seq++, obs});
     }
@@ -39,8 +37,7 @@ std::vector<ObserverReplay::Event> ObserverReplay::sorted_events() const {
     return sorted;
 }
 
-template <typename Monitor>
-void ObserverReplay::drive(Monitor& monitor) const {
+void ObserverReplay::drive(core::ConstrainedMonitor& monitor) const {
     std::vector<std::uint8_t> datagram;
     static constexpr std::uint8_t kPing[] = {0x01};
     for (const Event& event : sorted_events()) {
@@ -58,32 +55,24 @@ void ObserverReplay::drive(Monitor& monitor) const {
     }
 }
 
-ObserverRun ObserverReplay::run_idealized(core::ObserverConfig config) const {
-    core::FlowMonitor monitor{config};
-    drive(monitor);
-
+template <typename Observe>
+ObserverRun ObserverReplay::score(Observe observe) const {
     ObserverRun run;
     run.summary.connections = connections_.size();
     double err_sum = 0.0;
     for (const Connection& conn : connections_) {
         if (conn.assessment.spin_received.has_samples()) ++run.summary.candidates;
-        const auto stats = monitor.find_key(conn.key);
+        // A wire observer sees arrival order only (PNs are protected), so
+        // both series carry its one result.
         core::ConnectionAssessment assessed = conn.assessment;
-        if (stats) {
-            // A wire observer sees arrival order only (PNs are protected),
-            // so both series carry the received-order result.
-            assessed.spin_received = stats->spin;
-            assessed.spin_sorted = stats->spin;
-        } else {
-            assessed.spin_received = core::SpinRttResult{};
-            assessed.spin_sorted = core::SpinRttResult{};
-        }
-        if (stats && stats->spin.has_samples()) {
+        assessed.spin_received = observe(conn);
+        assessed.spin_sorted = assessed.spin_received;
+        const core::SpinRttResult& observed = assessed.spin_received;
+        if (observed.has_samples()) {
             ++run.summary.measured;
             if (conn.assessment.has_quic_baseline) {
                 ++run.summary.comparable;
-                const double err =
-                    std::abs(stats->spin.mean_ms() - conn.assessment.quic_mean_ms);
+                const double err = std::abs(observed.mean_ms() - conn.assessment.quic_mean_ms);
                 err_sum += err;
                 if (err <= 25.0) ++run.summary.within_25ms;
             }
@@ -101,49 +90,27 @@ ObserverRun ObserverReplay::run_idealized(core::ObserverConfig config) const {
     return run;
 }
 
+ObserverRun ObserverReplay::run_idealized() const {
+    return score([](const Connection& conn) { return conn.assessment.spin_received; });
+}
+
 ObserverRun ObserverReplay::run_constrained(const core::ConstrainedConfig& config) const {
     core::ConstrainedMonitor monitor{config};
     drive(monitor);
 
-    ObserverRun run;
-    run.summary.connections = connections_.size();
-    double err_sum = 0.0;
-    for (const Connection& conn : connections_) {
-        if (conn.assessment.spin_received.has_samples()) ++run.summary.candidates;
-        const auto stats = monitor.find_key(conn.key);
-        core::ConnectionAssessment assessed = conn.assessment;
+    ObserverRun run = score([&monitor](const Connection& conn) {
         core::SpinRttResult observed;
-        if (stats) {
-            observed.edge_count = stats->edge_count;
-            observed.saw_zero = stats->saw_zero;
-            observed.saw_one = stats->saw_one;
-            // The hardware estimate is one number: the integer EWMA. Wrap it
-            // as a single sample so the Fig. 3/4 machinery (per-connection
-            // means) scores it like any other estimator.
-            if (stats->has_estimate) observed.samples_ms.push_back(stats->srtt_ms());
-        }
-        assessed.spin_received = observed;
-        assessed.spin_sorted = observed;
-        if (stats && stats->has_estimate) {
-            ++run.summary.measured;
-            if (conn.assessment.has_quic_baseline) {
-                ++run.summary.comparable;
-                const double err =
-                    std::abs(stats->srtt_ms() - conn.assessment.quic_mean_ms);
-                err_sum += err;
-                if (err <= 25.0) ++run.summary.within_25ms;
-            }
-        }
-        run.aggregator.add(assessed);
-    }
-    if (run.summary.candidates > 0) {
-        run.summary.coverage = static_cast<double>(run.summary.measured) /
-                               static_cast<double>(run.summary.candidates);
-    }
-    if (run.summary.comparable > 0) {
-        run.summary.mean_abs_err_ms =
-            err_sum / static_cast<double>(run.summary.comparable);
-    }
+        const auto stats = monitor.find_key(conn.key);
+        if (!stats) return observed;
+        observed.edge_count = stats->edge_count;
+        observed.saw_zero = stats->saw_zero;
+        observed.saw_one = stats->saw_one;
+        // The hardware estimate is one number: the integer EWMA. Wrap it as
+        // a single sample so the Fig. 3/4 machinery (per-connection means)
+        // scores it like any other estimator.
+        if (stats->has_estimate) observed.samples_ms.push_back(stats->srtt_ms());
+        return observed;
+    });
     run.summary.table = monitor.counters();
     return run;
 }

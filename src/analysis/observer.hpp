@@ -4,17 +4,18 @@
 // pipeline from the viewpoint of a passive device on the server→client
 // path, under either observer model —
 //
-//   idealized    core::FlowMonitor       (unbounded table, float EWMA)
+//   idealized    an unbounded, collision-free table of core::SpinEdgeObserver
+//                (float EWMA), scored without a wire pass (run_idealized)
 //   constrained  core::ConstrainedMonitor (fixed slots, eviction, integer
-//                                          EWMA, sampling — DESIGN.md §14)
+//                EWMA, sampling — DESIGN.md §14)
 //
 // Campaign traces are endpoint-side records; a wire observer instead sees an
-// interleaved datagram mix of every concurrent connection. The replay
-// synthesizes that mix: each registered connection gets a deterministic
-// 8-byte DCID, its received 1-RTT packets are re-encoded as short-header
-// datagrams, and the union is ordered by observation time before being fed
-// to the monitor under test. Accuracy is then scored with the same
-// AccuracyAggregator the endpoint pipeline uses, so constrained-observer
+// interleaved datagram mix of every concurrent connection. The constrained
+// replay synthesizes that mix: each registered connection gets a
+// deterministic 8-byte DCID, its received 1-RTT packets are re-encoded as
+// short-header datagrams, and the union is ordered by observation time
+// before being fed to the monitor. Both runs are scored by one loop with the
+// same AccuracyAggregator the endpoint pipeline uses, so constrained-observer
 // histograms are directly comparable with the paper's figures.
 
 #pragma once
@@ -69,8 +70,15 @@ public:
         return connections_.size();
     }
 
-    /// Replays the stream through an idealized FlowMonitor.
-    [[nodiscard]] ObserverRun run_idealized(core::ObserverConfig config = {}) const;
+    /// Scores the idealized wire observer. In an unbounded, collision-free
+    /// table each flow's SpinEdgeObserver sees exactly its own packets in
+    /// arrival order. A trace's received times do not decrease, so that is
+    /// its received order and every interval is non-negative; the
+    /// arrival-index PNs could never trip the PN filter, which is off
+    /// anyway; and the zero plausibility floor rejects no interval. Each
+    /// flow's result is therefore the endpoint-side received-order series,
+    /// which the run scores directly as R and S.
+    [[nodiscard]] ObserverRun run_idealized() const;
 
     /// Replays the stream through a ConstrainedMonitor with the given budget.
     [[nodiscard]] ObserverRun run_constrained(const core::ConstrainedConfig& config) const;
@@ -89,8 +97,11 @@ private:
 
     /// Events sorted by (time, conn, seq) — the deterministic interleave.
     [[nodiscard]] std::vector<Event> sorted_events() const;
-    template <typename Monitor>
-    void drive(Monitor& monitor) const;
+    void drive(core::ConstrainedMonitor& monitor) const;
+    /// The shared scoring loop: `observe(conn)` is the observer's result for
+    /// one connection, scored as both R and S against its stack baseline.
+    template <typename Observe>
+    [[nodiscard]] ObserverRun score(Observe observe) const;
 
     std::uint64_t seed_;
     std::vector<Connection> connections_;

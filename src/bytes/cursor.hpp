@@ -2,9 +2,8 @@
 //
 // Sequential byte cursors over std::span, plus the RFC 9000 §16
 // variable-length integer codec every wire format in this library uses.
-// Relocated here from quic/varint.hpp so the cursors can write straight
-// into pooled bytes::Buffer storage without a dependency cycle; quic/
-// re-exports the old names.
+// They live here, below quic/, so the cursors can write straight into
+// pooled bytes::Buffer storage without a dependency cycle.
 //
 // Varint wire format: the two most significant bits of the first byte
 // select the encoded length (1, 2, 4 or 8 bytes); the remaining bits carry

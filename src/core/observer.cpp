@@ -35,31 +35,15 @@ SpinRttResult measure_spin_rtt(std::span<const SpinObservation> packets, PacketO
         view = sorted;
     }
 
-    SpinRttResult result;
-    bool have_value = false;
-    bool current = false;
-    TimePoint last_edge = TimePoint::never();
-    for (const auto& packet : view) {
-        if (packet.spin) {
-            result.saw_one = true;
-        } else {
-            result.saw_zero = true;
-        }
-        if (!have_value) {
-            have_value = true;
-            current = packet.spin;
-            continue;
-        }
-        if (packet.spin == current) continue;
-        // Edge.
-        current = packet.spin;
-        ++result.edge_count;
-        if (!last_edge.is_never()) {
-            result.samples_ms.push_back((packet.time - last_edge).as_ms());
-        }
-        last_edge = packet.time;
-    }
-    return result;
+    // The batch measurement keeps every edge-to-edge interval. In sorted
+    // order one can be negative (a higher PN that arrived earlier), and §5.1
+    // scores it as measured, so the plausibility floor sits below any
+    // representable interval.
+    ObserverConfig config;
+    config.min_plausible_rtt = Duration::nanos(std::numeric_limits<std::int64_t>::min());
+    SpinEdgeObserver observer{config};
+    for (const auto& packet : view) observer.on_packet(packet);
+    return std::move(observer).result();
 }
 
 void SpinEdgeObserver::on_packet(const SpinObservation& packet) {

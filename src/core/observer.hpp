@@ -4,20 +4,20 @@
 //
 // An observer watching one direction of a QUIC flow sees the spin bit flip
 // ("spin edges") once per round trip; the time between consecutive edges is
-// an RTT estimate (paper §2.1). This module implements:
-//
-//  * batch measurement over a recorded packet sequence, in received order
-//    ("R") or packet-number-sorted order ("S") — the paper's §5.1 method for
-//    quantifying the impact of reordering;
-//  * a streaming observer with the RFC 9312 robustness heuristics
-//    (packet-number filtering, implausible-sample rejection) that the paper
-//    calls out as untested at scale.
+// an RTT estimate (paper §2.1). This module holds the one floating-point
+// edge-to-edge state machine, SpinEdgeObserver, with the RFC 9312 robustness
+// heuristics (packet-number filtering, implausible-sample rejection) that the
+// paper calls out as untested at scale, and the batch measurement that
+// drives it over a recorded packet sequence in received order ("R") or
+// packet-number-sorted order ("S"), the paper's §5.1 method for quantifying
+// the impact of reordering.
 
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "quic/types.hpp"
@@ -59,11 +59,13 @@ struct SpinRttResult {
     [[nodiscard]] double min_ms() const noexcept;
 };
 
-/// Computes spin RTT samples over a full packet record.
+/// Computes spin RTT samples over a full packet record by feeding it, in the
+/// chosen order, through a SpinEdgeObserver with no heuristics.
 ///
 /// Edges are detected as changes of the spin value between consecutive
 /// packets in the chosen order; each edge-to-edge interval yields one
-/// sample. Duplicate packet numbers are skipped in sorted order.
+/// sample, negative ones included (possible in sorted order). Duplicate
+/// packet numbers are skipped in sorted order.
 [[nodiscard]] SpinRttResult measure_spin_rtt(std::span<const SpinObservation> packets,
                                              PacketOrder order);
 
@@ -88,7 +90,13 @@ struct ObserverConfig {
 };
 
 /// Streaming spin observer: feed packets in arrival order, collect samples.
-/// With a default config it reproduces measure_spin_rtt(..., received).
+///
+/// This is spinscope's only floating-point spin-edge state machine.
+/// measure_spin_rtt drives it over a recorded sequence and WireSpinTap over
+/// the raw datagrams of one flow; one per flow is the reference that the
+/// constrained-monitor tests and bench_observer hold the integer
+/// core::ConstrainedMonitor against. With a default config it reproduces
+/// measure_spin_rtt(..., received) on time-ordered input.
 class SpinEdgeObserver {
 public:
     explicit SpinEdgeObserver(ObserverConfig config = {}) : config_{config} {}
@@ -96,7 +104,8 @@ public:
     /// Processes one observed packet.
     void on_packet(const SpinObservation& packet);
 
-    [[nodiscard]] const SpinRttResult& result() const noexcept { return result_; }
+    [[nodiscard]] const SpinRttResult& result() const& noexcept { return result_; }
+    [[nodiscard]] SpinRttResult result() && noexcept { return std::move(result_); }
     /// Samples rejected by the plausibility heuristics.
     [[nodiscard]] std::size_t rejected_samples() const noexcept { return rejected_; }
     /// Current smoothed spin RTT (ms); nullopt before the first sample.

@@ -133,7 +133,7 @@ void Connection::send_packet(PnSpace pn_space, std::vector<Frame> frames, bool p
 
     const bool eliciting = any_ack_eliciting(frames);
     netsim::Datagram datagram = acquire_datagram();
-    Writer w{datagram};
+    bytes::ByteWriter w{datagram};
     if (header.type == PacketType::one_rtt) {
         // 1-RTT payloads extend to the end of the datagram, so frames are
         // encoded in place right behind the short header — the pooled
@@ -148,7 +148,7 @@ void Connection::send_packet(PnSpace pn_space, std::vector<Frame> frames, bool p
         // Long headers carry an explicit Length field ahead of the payload,
         // so the frame bytes are staged in a pooled scratch buffer first.
         netsim::Datagram scratch = acquire_datagram();
-        Writer pw{scratch};
+        bytes::ByteWriter pw{scratch};
         encode_frames(pw, frames, config_.params.ack_delay_exponent);
         if (pad_to_mtu && scratch.size() + kHeaderMargin < config_.mtu) {
             scratch.resize(config_.mtu - kHeaderMargin, 0 /* PADDING frames */);

@@ -26,7 +26,7 @@ constexpr std::uint8_t kStreamOff = 0x04;
 /// a hostile peer cannot poison RTT adjustment with a wrap-around delay.
 constexpr std::uint64_t kMaxAckDelayMicros = 1ULL << 42;
 
-[[nodiscard]] std::optional<AckFrame> decode_ack(Reader& r, std::uint8_t exponent) {
+[[nodiscard]] std::optional<AckFrame> decode_ack(bytes::ByteReader& r, std::uint8_t exponent) {
     AckFrame ack;
     const auto largest = r.varint();
     const auto delay_units = r.varint();
@@ -55,7 +55,7 @@ constexpr std::uint64_t kMaxAckDelayMicros = 1ULL << 42;
     return ack;
 }
 
-void encode_ack(Writer& w, const AckFrame& ack, std::uint8_t exponent) {
+void encode_ack(bytes::ByteWriter& w, const AckFrame& ack, std::uint8_t exponent) {
     assert(!ack.ranges.empty());
     // Ranges must be descending with a gap of >= 2 between them (RFC 9000
     // §19.3.1 cannot express adjacency). Drop violators up front rather than
@@ -103,7 +103,7 @@ bool any_ack_eliciting(std::span<const Frame> frames) noexcept {
                        [](const Frame& f) { return is_ack_eliciting(f); });
 }
 
-void encode_frame(Writer& w, const Frame& frame, std::uint8_t ack_delay_exponent) {
+void encode_frame(bytes::ByteWriter& w, const Frame& frame, std::uint8_t ack_delay_exponent) {
     std::visit(
         [&](const auto& f) {
             using T = std::decay_t<decltype(f)>;
@@ -144,7 +144,7 @@ void encode_frame(Writer& w, const Frame& frame, std::uint8_t ack_delay_exponent
         frame);
 }
 
-void encode_frames(Writer& w, std::span<const Frame> frames,
+void encode_frames(bytes::ByteWriter& w, std::span<const Frame> frames,
                    std::uint8_t ack_delay_exponent) {
     for (const auto& f : frames) encode_frame(w, f, ack_delay_exponent);
 }
@@ -152,7 +152,7 @@ void encode_frames(Writer& w, std::span<const Frame> frames,
 std::vector<std::uint8_t> encode_frames(std::span<const Frame> frames,
                                         std::uint8_t ack_delay_exponent) {
     std::vector<std::uint8_t> out;
-    Writer w{out};
+    bytes::ByteWriter w{out};
     encode_frames(w, frames, ack_delay_exponent);
     return out;
 }
@@ -160,7 +160,7 @@ std::vector<std::uint8_t> encode_frames(std::span<const Frame> frames,
 std::optional<std::vector<Frame>> decode_frames(std::span<const std::uint8_t> payload,
                                                 std::uint8_t ack_delay_exponent) {
     std::vector<Frame> frames;
-    Reader r{payload};
+    bytes::ByteReader r{payload};
     while (!r.done()) {
         // Frame types must use the minimal varint encoding (RFC 9000 §12.4);
         // an overlong type is a FRAME_ENCODING_ERROR, not an alias.
@@ -190,7 +190,7 @@ std::optional<std::vector<Frame>> decode_frames(std::span<const std::uint8_t> pa
                 const auto length = r.varint();
                 if (!offset || !length) return std::nullopt;
                 // RFC 9000 §19.6: offset + length must stay a valid varint.
-                if (*offset > kVarintMax - *length) return std::nullopt;
+                if (*offset > bytes::kVarintMax - *length) return std::nullopt;
                 const auto data = r.bytes(*length);
                 if (!data) return std::nullopt;
                 frames.emplace_back(CryptoFrame{*offset, {data->begin(), data->end()}});
@@ -242,7 +242,7 @@ std::optional<std::vector<Frame>> decode_frames(std::span<const std::uint8_t> pa
                     }
                     // RFC 9000 §19.8: the final byte offset must stay a
                     // valid varint — rejects hostile offsets near 2^62.
-                    if (stream.offset > kVarintMax - length) return std::nullopt;
+                    if (stream.offset > bytes::kVarintMax - length) return std::nullopt;
                     const auto data = r.bytes(static_cast<std::size_t>(length));
                     if (!data) return std::nullopt;
                     stream.data.assign(data->begin(), data->end());

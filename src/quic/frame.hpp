@@ -13,8 +13,8 @@
 #include <variant>
 #include <vector>
 
+#include "bytes/cursor.hpp"
 #include "quic/types.hpp"
-#include "quic/varint.hpp"
 #include "util/time.hpp"
 
 namespace spinscope::quic {
@@ -99,17 +99,17 @@ using Frame = std::variant<PaddingFrame, PingFrame, AckFrame, CryptoFrame, Strea
 /// bytes::Buffer — the hot path appends frames in place, no intermediate
 /// vector). ACK delays are encoded in units of 2^ack_delay_exponent
 /// microseconds (RFC 9000 §18.2, default exponent 3).
-void encode_frame(Writer& w, const Frame& frame, std::uint8_t ack_delay_exponent);
+void encode_frame(bytes::ByteWriter& w, const Frame& frame, std::uint8_t ack_delay_exponent);
 
 /// Vector-compat overload (tests, benches).
 inline void encode_frame(std::vector<std::uint8_t>& out, const Frame& frame,
                          std::uint8_t ack_delay_exponent) {
-    Writer w{out};
+    bytes::ByteWriter w{out};
     encode_frame(w, frame, ack_delay_exponent);
 }
 
 /// Appends a frame sequence through `w`.
-void encode_frames(Writer& w, std::span<const Frame> frames,
+void encode_frames(bytes::ByteWriter& w, std::span<const Frame> frames,
                    std::uint8_t ack_delay_exponent);
 
 /// Encodes a frame sequence into a fresh payload buffer (compat shape; the

@@ -31,12 +31,12 @@ constexpr std::uint8_t kVecShift = 3;          // reserved bits carry the VEC ex
     }
 }
 
-void write_cid(Writer& w, const ConnectionId& cid) {
+void write_cid(bytes::ByteWriter& w, const ConnectionId& cid) {
     w.u8(static_cast<std::uint8_t>(cid.size()));
     w.bytes({cid.data(), cid.size()});
 }
 
-[[nodiscard]] std::optional<ConnectionId> read_cid(Reader& r) noexcept {
+[[nodiscard]] std::optional<ConnectionId> read_cid(bytes::ByteReader& r) noexcept {
     const auto len = r.u8();
     if (!len || *len > ConnectionId::kMaxLength) return std::nullopt;
     const auto body = r.bytes(*len);
@@ -79,7 +79,8 @@ PacketNumber expand_packet_number(PacketNumber largest_received, std::uint64_t t
     return candidate;
 }
 
-void encode_short_header(Writer& w, const PacketHeader& header, PacketNumber largest_acked) {
+void encode_short_header(bytes::ByteWriter& w, const PacketHeader& header,
+                         PacketNumber largest_acked) {
     assert(header.type == PacketType::one_rtt);
     const std::size_t pn_len = packet_number_length(header.packet_number, largest_acked);
     std::uint8_t first = kFixedBit;
@@ -92,7 +93,7 @@ void encode_short_header(Writer& w, const PacketHeader& header, PacketNumber lar
     w.be_truncated(header.packet_number, pn_len);
 }
 
-void encode_packet(Writer& w, const PacketHeader& header,
+void encode_packet(bytes::ByteWriter& w, const PacketHeader& header,
                    std::span<const std::uint8_t> payload, PacketNumber largest_acked) {
     const std::size_t pn_len = packet_number_length(header.packet_number, largest_acked);
 
@@ -120,7 +121,7 @@ void encode_packet(Writer& w, const PacketHeader& header,
 std::optional<DecodedPacket> decode_packet(std::span<const std::uint8_t> datagram,
                                            std::size_t short_dcid_length,
                                            PacketNumber largest_received) noexcept {
-    Reader r{datagram};
+    bytes::ByteReader r{datagram};
     const auto first_opt = r.u8();
     if (!first_opt) return std::nullopt;
     const std::uint8_t first = *first_opt;

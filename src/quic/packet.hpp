@@ -16,8 +16,8 @@
 #include <span>
 #include <vector>
 
+#include "bytes/cursor.hpp"
 #include "quic/types.hpp"
-#include "quic/varint.hpp"
 
 namespace spinscope::quic {
 
@@ -95,20 +95,20 @@ struct DecodedPacket {
 /// bytes::Buffer datagram). `largest_acked` drives packet-number truncation.
 /// Long headers carry an explicit Length field; 1-RTT payloads extend to the
 /// end of the datagram.
-void encode_packet(Writer& w, const PacketHeader& header,
+void encode_packet(bytes::ByteWriter& w, const PacketHeader& header,
                    std::span<const std::uint8_t> payload, PacketNumber largest_acked);
 
 /// Vector-compat overload (tests, benches).
 inline void encode_packet(std::vector<std::uint8_t>& out, const PacketHeader& header,
                           std::span<const std::uint8_t> payload, PacketNumber largest_acked) {
-    Writer w{out};
+    bytes::ByteWriter w{out};
     encode_packet(w, header, payload, largest_acked);
 }
 
 /// Buffer overload: encodes straight into pooled datagram storage.
 inline void encode_packet(bytes::Buffer& out, const PacketHeader& header,
                           std::span<const std::uint8_t> payload, PacketNumber largest_acked) {
-    Writer w{out};
+    bytes::ByteWriter w{out};
     encode_packet(w, header, payload, largest_acked);
 }
 
@@ -117,7 +117,8 @@ inline void encode_packet(bytes::Buffer& out, const PacketHeader& header,
 /// connection hot path writes this header into the pooled datagram and then
 /// appends frames in place — no intermediate payload vector exists.
 /// `header.type` must be PacketType::one_rtt.
-void encode_short_header(Writer& w, const PacketHeader& header, PacketNumber largest_acked);
+void encode_short_header(bytes::ByteWriter& w, const PacketHeader& header,
+                         PacketNumber largest_acked);
 
 /// Decodes the packet at the front of `datagram`.
 ///

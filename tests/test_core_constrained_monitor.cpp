@@ -2,22 +2,30 @@
 //
 // The contract under test: core::ConstrainedMonitor with its constraints
 // lifted (a table far larger than the flow universe, eviction off, sampling
-// 1:1) agrees with the idealized core::FlowMonitor flow-for-flow on the same
-// interleaved datagram stream — exactly on every counter, and within the
-// documented integer-EWMA precision bound on the RTT estimate. Under
-// constraints, every packet the constrained monitor loses relative to the
-// idealized one is explained, to the packet, by its collision / eviction /
-// sampling counters (the seeded ~10k-case property sweep).
+// 1:1) agrees flow-for-flow with an idealized reference — an unbounded map
+// from flow key to core::SpinEdgeObserver — on the same interleaved datagram
+// stream: exactly on every counter, and within the documented integer-EWMA
+// precision bound on the RTT estimate. Under constraints, every packet the
+// constrained monitor loses relative to the reference is explained, to the
+// packet, by its collision / eviction / sampling counters (the seeded
+// ~10k-case property sweep). The monitor's own demux, snapshot and tap
+// behaviour is tested at the end.
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/constrained_monitor.hpp"
-#include "core/flow_monitor.hpp"
+#include "core/observer.hpp"
 #include "netsim/link.hpp"
+#include "netsim/simulator.hpp"
+#include "quic/connection.hpp"
 #include "quic/packet.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -41,6 +49,57 @@ netsim::Datagram short_packet(std::uint64_t cid, bool spin, quic::PacketNumber p
 }
 
 TimePoint at_us(std::int64_t us) { return TimePoint::origin() + Duration::micros(us); }
+TimePoint at_ms(std::int64_t ms) { return TimePoint::origin() + Duration::millis(ms); }
+
+/// Lowercase hex rendering of a raw 8-byte flow key.
+std::string hex_key(std::uint64_t key) {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016" PRIx64, key);
+    return buf;
+}
+
+/// The idealized reference: an unbounded map from the raw 8-byte DCID prefix
+/// to a float SpinEdgeObserver, demultiplexed like ConstrainedMonitor (short
+/// header with a full 8-byte DCID, else non-flow).
+struct ReferenceTable {
+    struct Flow {
+        explicit Flow(const ObserverConfig& config) : observer{config} {}
+        SpinEdgeObserver observer;
+        /// Packets seen; also the arrival index fed as the packet number,
+        /// since a wire observer cannot read protected PNs.
+        std::uint64_t packets = 0;
+    };
+
+    explicit ReferenceTable(ObserverConfig observer_config = {}) : config{observer_config} {}
+
+    void on_datagram(TimePoint at, bytes::ConstByteSpan datagram) {
+        const auto view = quic::peek_short_header(datagram);
+        if (!view || datagram.size() < view->dcid_offset + 8) {
+            ++non_flow;
+            return;
+        }
+        const std::uint64_t key =
+            ConstrainedMonitor::pack_key(datagram.data() + view->dcid_offset, 8);
+        Flow& flow = flows.try_emplace(key, config).first->second;
+        flow.observer.on_packet(SpinObservation{at, flow.packets++, view->spin, view->vec});
+    }
+
+    [[nodiscard]] const Flow* find(std::uint64_t key) const {
+        const auto it = flows.find(key);
+        return it == flows.end() ? nullptr : &it->second;
+    }
+
+    /// Total packets attributed to flows.
+    [[nodiscard]] std::uint64_t tracked() const {
+        std::uint64_t total = 0;
+        for (const auto& [key, flow] : flows) total += flow.packets;
+        return total;
+    }
+
+    ObserverConfig config;
+    std::map<std::uint64_t, Flow> flows;
+    std::uint64_t non_flow = 0;
+};
 
 /// One observed packet of a synthetic interleaved stream.
 struct StreamEvent {
@@ -74,8 +133,8 @@ std::vector<StreamEvent> interleaved_stream(Rng& rng, const std::vector<std::uin
     return events;
 }
 
-/// Feeds the same stream to both monitors.
-void drive_both(const std::vector<StreamEvent>& events, FlowMonitor& idealized,
+/// Feeds the same stream to the reference and the monitor.
+void drive_both(const std::vector<StreamEvent>& events, ReferenceTable& idealized,
                 ConstrainedMonitor& constrained) {
     quic::PacketNumber pn = 0;
     for (const StreamEvent& event : events) {
@@ -102,13 +161,6 @@ std::vector<std::uint64_t> collision_free_keys(Rng& rng, const ConstrainedMonito
     return keys;
 }
 
-/// Total packets the idealized monitor attributed to flows.
-std::uint64_t idealized_tracked(const FlowMonitor& monitor) {
-    std::uint64_t total = 0;
-    for (const auto& [key, stats] : monitor.flows()) total += stats.packets;
-    return total;
-}
-
 // --- differential equivalence (constraints lifted) --------------------------
 
 TEST(ConstrainedDifferential, UnboundedConfigMatchesFlowMonitorFlowForFlow) {
@@ -118,7 +170,7 @@ TEST(ConstrainedDifferential, UnboundedConfigMatchesFlowMonitorFlowForFlow) {
     config.sample_every = 1;
     config.ewma_shift = 3;  // same 1/8 weight as the float path
     ConstrainedMonitor constrained{config};
-    FlowMonitor idealized;
+    ReferenceTable idealized;
 
     Rng rng{0x5eed'd1ffULL};
     const auto keys = collision_free_keys(rng, constrained, 64);
@@ -135,39 +187,40 @@ TEST(ConstrainedDifferential, UnboundedConfigMatchesFlowMonitorFlowForFlow) {
     EXPECT_EQ(t.offered, events.size());
     EXPECT_EQ(t.tracked, events.size());
 
-    EXPECT_EQ(constrained.flow_count(), idealized.flow_count());
+    EXPECT_EQ(constrained.flow_count(), idealized.flows.size());
     ASSERT_EQ(constrained.flow_count(), keys.size());
 
     for (const std::uint64_t key : keys) {
-        const auto ideal = idealized.find_key(key);
+        const auto* ideal = idealized.find(key);
         const auto hard = constrained.find_key(key);
-        ASSERT_TRUE(ideal.has_value());
+        ASSERT_NE(ideal, nullptr);
         ASSERT_TRUE(hard.has_value());
+        const SpinRttResult& spin = ideal->observer.result();
         // Integer-exact surface: acceptance decisions are int64 nanosecond
         // comparisons on both paths, so these must agree to the packet.
         EXPECT_EQ(hard->packets, ideal->packets);
-        EXPECT_EQ(hard->edge_count, ideal->spin.edge_count);
-        EXPECT_EQ(hard->samples, ideal->spin.samples_ms.size());
-        EXPECT_EQ(hard->rejected_samples, ideal->rejected_samples);
-        EXPECT_EQ(hard->saw_zero, ideal->spin.saw_zero);
-        EXPECT_EQ(hard->saw_one, ideal->spin.saw_one);
+        EXPECT_EQ(hard->edge_count, spin.edge_count);
+        EXPECT_EQ(hard->samples, spin.samples_ms.size());
+        EXPECT_EQ(hard->rejected_samples, ideal->observer.rejected_samples());
+        EXPECT_EQ(hard->saw_zero, spin.saw_zero);
+        EXPECT_EQ(hard->saw_one, spin.saw_one);
         // Float-equivalent EWMA scaling: the integer estimate tracks the
         // float one within the §14 precision bound (~2 µs steady state;
         // 10 µs leaves margin without masking real divergence).
         if (hard->has_estimate) {
-            EXPECT_NEAR(hard->srtt_ms(), ideal->smoothed_rtt_ms, 0.010)
+            ASSERT_TRUE(ideal->observer.smoothed_ms().has_value());
+            EXPECT_NEAR(hard->srtt_ms(), *ideal->observer.smoothed_ms(), 0.010)
                 << "flow key " << key;
         } else {
-            EXPECT_EQ(ideal->smoothed_rtt_ms, 0.0);
+            EXPECT_FALSE(ideal->observer.smoothed_ms().has_value());
         }
     }
 
-    // Snapshot keying agrees too: both render the raw key as lowercase hex.
-    const auto ideal_flows = idealized.flows();
-    const auto hard_flows = constrained.flows();
-    ASSERT_EQ(ideal_flows.size(), hard_flows.size());
-    for (const auto& [hex, stats] : ideal_flows) {
-        EXPECT_TRUE(constrained.find(hex).has_value()) << hex;
+    // Snapshot keying: every reference key, rendered as lowercase hex, finds
+    // its slot through the monitor's hex boundary.
+    ASSERT_EQ(idealized.flows.size(), constrained.flows().size());
+    for (const auto& [key, flow] : idealized.flows) {
+        EXPECT_TRUE(constrained.find(hex_key(key)).has_value()) << hex_key(key);
     }
 }
 
@@ -178,7 +231,7 @@ TEST(ConstrainedDifferential, MinPlausibleRejectionIsIntegerExact) {
     ConstrainedMonitor constrained{config};
     ObserverConfig observer_config;
     observer_config.min_plausible_rtt = Duration::millis(20);
-    FlowMonitor idealized{observer_config};
+    ReferenceTable idealized{observer_config};
 
     Rng rng{0x00ed'0e11ULL};
     const auto keys = collision_free_keys(rng, constrained, 16);
@@ -189,12 +242,12 @@ TEST(ConstrainedDifferential, MinPlausibleRejectionIsIntegerExact) {
 
     std::size_t rejected_total = 0;
     for (const std::uint64_t key : keys) {
-        const auto ideal = idealized.find_key(key);
+        const auto* ideal = idealized.find(key);
         const auto hard = constrained.find_key(key);
-        ASSERT_TRUE(ideal.has_value());
+        ASSERT_NE(ideal, nullptr);
         ASSERT_TRUE(hard.has_value());
-        EXPECT_EQ(hard->rejected_samples, ideal->rejected_samples);
-        EXPECT_EQ(hard->samples, ideal->spin.samples_ms.size());
+        EXPECT_EQ(hard->rejected_samples, ideal->observer.rejected_samples());
+        EXPECT_EQ(hard->samples, ideal->observer.result().samples_ms.size());
         rejected_total += hard->rejected_samples;
     }
     EXPECT_GT(rejected_total, 0u);  // the floor actually fired
@@ -218,7 +271,7 @@ TEST(ConstrainedProperty, DeltaExplainedByCountersAcross10kCases) {
         config.sample_every = static_cast<std::uint32_t>(1 + rng.uniform_u64(4));
         config.lru_idle_packets = 1 + rng.uniform_u64(16);
         ConstrainedMonitor constrained{config};
-        FlowMonitor idealized;
+        ReferenceTable idealized;
 
         // Keys drawn from a universe of <= 24 values: far more flows than
         // distinct slots, so slot fights are the norm, not the exception.
@@ -239,17 +292,17 @@ TEST(ConstrainedProperty, DeltaExplainedByCountersAcross10kCases) {
         // Identity 2: a collision either evicts or leaves the packet untracked.
         ASSERT_EQ(t.collisions, t.untracked + t.evictions) << "case " << c;
         // Identity 3: both monitors classify flow/non-flow identically.
-        ASSERT_EQ(t.non_flow, idealized.non_flow_packets()) << "case " << c;
+        ASSERT_EQ(t.non_flow, idealized.non_flow) << "case " << c;
         ASSERT_EQ(t.offered, events.size()) << "case " << c;
         // Identity 4 (the differential): packets the idealized monitor
         // tracked but the constrained one did not are EXACTLY the sampled-out
         // plus collision-untracked ones. Eviction losses do not appear here —
         // an evicting packet is still tracked (by the usurping flow).
-        ASSERT_EQ(idealized_tracked(idealized) - t.tracked, t.sampled_out + t.untracked)
+        ASSERT_EQ(idealized.tracked() - t.tracked, t.sampled_out + t.untracked)
             << "case " << c;
         // The table can never hold more flows than slots or than exist.
         ASSERT_LE(constrained.flow_count(), std::size_t{16}) << "case " << c;
-        ASSERT_LE(constrained.flow_count(), idealized.flow_count()) << "case " << c;
+        ASSERT_LE(constrained.flow_count(), idealized.flows.size()) << "case " << c;
     }
 }
 
@@ -326,7 +379,7 @@ TEST(ConstrainedEviction, RandomReplacementIsDeterministicPerStream) {
         std::vector<std::uint64_t> keys;
         for (std::uint64_t k = 0; k < 40; ++k) keys.push_back(0x2000 + k);
         const auto events = interleaved_stream(rng, keys, 12);
-        FlowMonitor idealized;
+        ReferenceTable idealized;
         ConstrainedMonitor constrained = std::move(monitor);
         drive_both(events, idealized, constrained);
         return constrained.counters();
@@ -374,7 +427,7 @@ void adversarial_sweep(const std::vector<std::vector<std::uint8_t>>& corpus) {
     config.eviction = EvictionPolicy::lru;
     config.lru_idle_packets = 8;
     ConstrainedMonitor constrained{config};
-    FlowMonitor idealized;
+    ReferenceTable idealized;
     std::int64_t t_us = 0;
     for (const auto& datagram : corpus) {
         ++t_us;
@@ -385,8 +438,8 @@ void adversarial_sweep(const std::vector<std::vector<std::uint8_t>>& corpus) {
     EXPECT_EQ(t.offered, corpus.size());
     EXPECT_EQ(t.offered, t.non_flow + t.sampled_out + t.tracked + t.untracked);
     EXPECT_EQ(t.collisions, t.untracked + t.evictions);
-    EXPECT_EQ(t.non_flow, idealized.non_flow_packets());
-    EXPECT_EQ(idealized_tracked(idealized) - t.tracked, t.sampled_out + t.untracked);
+    EXPECT_EQ(t.non_flow, idealized.non_flow);
+    EXPECT_EQ(idealized.tracked() - t.tracked, t.sampled_out + t.untracked);
 }
 
 TEST(ConstrainedRobustness, SurvivesRandomJunkCorpus) {
@@ -414,7 +467,7 @@ TEST(ConstrainedRobustness, TruncatedAndDegenerateDatagramsAreNonFlow) {
         {0x40, 1, 2, 3, 4, 5, 6, 7},  // one byte short of an 8-byte DCID
     };
     ConstrainedMonitor constrained{ConstrainedConfig{}};
-    FlowMonitor idealized;
+    ReferenceTable idealized;
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         idealized.on_datagram(at_us(static_cast<std::int64_t>(i)), corpus[i]);
         constrained.on_datagram(at_us(static_cast<std::int64_t>(i)), corpus[i]);
@@ -422,8 +475,8 @@ TEST(ConstrainedRobustness, TruncatedAndDegenerateDatagramsAreNonFlow) {
     EXPECT_EQ(constrained.counters().non_flow, corpus.size());
     EXPECT_EQ(constrained.counters().tracked, 0u);
     EXPECT_EQ(constrained.flow_count(), 0u);
-    EXPECT_EQ(idealized.non_flow_packets(), corpus.size());
-    EXPECT_EQ(idealized.flow_count(), 0u);
+    EXPECT_EQ(idealized.non_flow, corpus.size());
+    EXPECT_TRUE(idealized.flows.empty());
 }
 
 TEST(ConstrainedRobustness, LongHeaderOnlyCorpusIsNeverTracked) {
@@ -440,14 +493,14 @@ TEST(ConstrainedRobustness, LongHeaderOnlyCorpusIsNeverTracked) {
         corpus.push_back(std::move(wire));
     }
     ConstrainedMonitor constrained{ConstrainedConfig{}};
-    FlowMonitor idealized;
+    ReferenceTable idealized;
     for (std::size_t i = 0; i < corpus.size(); ++i) {
         idealized.on_datagram(at_us(static_cast<std::int64_t>(i)), corpus[i]);
         constrained.on_datagram(at_us(static_cast<std::int64_t>(i)), corpus[i]);
     }
     EXPECT_EQ(constrained.counters().tracked, 0u);
     EXPECT_EQ(constrained.counters().non_flow, corpus.size());
-    EXPECT_EQ(idealized.flow_count(), 0u);
+    EXPECT_TRUE(idealized.flows.empty());
 }
 
 // --- config validation -------------------------------------------------------
@@ -479,6 +532,141 @@ TEST(ConstrainedConfigValidation, DefaultsAreValid) {
     ConstrainedMonitor monitor{ConstrainedConfig{}};
     EXPECT_EQ(monitor.slot_count(), std::size_t{1} << 16);
     EXPECT_EQ(monitor.flow_count(), 0u);
+}
+
+// --- monitor surface: demux, hex lookup, link tap ----------------------------
+
+TEST(ConstrainedMonitor, DemuxesInterleavedFlows) {
+    ConstrainedMonitor monitor{ConstrainedConfig{}};
+    // Two flows with different spin periods, packets interleaved.
+    bool value_a = false;
+    bool value_b = false;
+    quic::PacketNumber pn_a = 0;
+    quic::PacketNumber pn_b = 0;
+    for (int t = 0; t < 240; t += 10) {
+        if (t % 30 == 0) value_a = !value_a;   // flow A: 30 ms period
+        if (t % 60 == 0) value_b = !value_b;   // flow B: 60 ms period
+        monitor.on_datagram(at_ms(t), short_packet(0xaaaa, value_a, pn_a++));
+        monitor.on_datagram(at_ms(t), short_packet(0xbbbb, value_b, pn_b++));
+    }
+    EXPECT_EQ(monitor.flow_count(), 2u);
+
+    const auto flow_a = monitor.find("000000000000aaaa");
+    const auto flow_b = monitor.find("000000000000bbbb");
+    ASSERT_TRUE(flow_a.has_value());
+    ASSERT_TRUE(flow_b.has_value());
+    ASSERT_TRUE(flow_a->has_estimate);
+    ASSERT_TRUE(flow_b->has_estimate);
+    EXPECT_NEAR(flow_a->srtt_ms(), 30.0, 0.5);
+    EXPECT_NEAR(flow_b->srtt_ms(), 60.0, 0.5);
+    EXPECT_EQ(flow_a->packets, 24u);
+}
+
+TEST(ConstrainedMonitor, FindUnknownFlow) {
+    ConstrainedMonitor monitor{ConstrainedConfig{}};
+    EXPECT_FALSE(monitor.find("deadbeef00000000").has_value());
+
+    // Malformed hex keys never alias a resident flow: not 16 digits, or not
+    // all hex digits.
+    monitor.on_datagram(at_ms(0), short_packet(0xdeadbeef, false, 0));
+    ASSERT_TRUE(monitor.find("00000000deadbeef").has_value());
+    EXPECT_FALSE(monitor.find("deadbeef").has_value());
+    EXPECT_FALSE(monitor.find("000000000deadbeef").has_value());
+    EXPECT_FALSE(monitor.find("").has_value());
+    EXPECT_FALSE(monitor.find("00000000deadbeeg").has_value());
+    EXPECT_FALSE(monitor.find("00000000deadbee ").has_value());
+}
+
+TEST(ConstrainedMonitor, IgnoresLongHeadersAndShortDatagrams) {
+    ConstrainedMonitor monitor{ConstrainedConfig{}};
+    quic::PacketHeader initial;
+    initial.type = quic::PacketType::initial;
+    initial.dcid = quic::ConnectionId::from_u64(1);
+    initial.scid = quic::ConnectionId::from_u64(2);
+    netsim::Datagram long_wire;
+    const std::vector<std::uint8_t> payload{0x01};
+    quic::encode_packet(long_wire, initial, payload, quic::kInvalidPacketNumber);
+    monitor.on_datagram(at_ms(0), long_wire);
+    monitor.on_datagram(at_ms(1), std::vector<std::uint8_t>{0x40, 0x01});  // too short for an 8-byte DCID
+    monitor.on_datagram(at_ms(2), bytes::ConstByteSpan{});
+    EXPECT_EQ(monitor.flow_count(), 0u);
+    EXPECT_EQ(monitor.counters().non_flow, 3u);
+}
+
+TEST(ConstrainedMonitor, HeuristicsApplyPerFlow) {
+    ConstrainedConfig config;
+    config.min_plausible_rtt = Duration::millis(5);
+    ConstrainedMonitor monitor{config};
+    monitor.on_datagram(at_ms(0), short_packet(0x1, false, 0));
+    monitor.on_datagram(at_ms(40), short_packet(0x1, true, 1));
+    monitor.on_datagram(at_ms(41), short_packet(0x1, false, 2));  // 1 ms -> rejected
+    monitor.on_datagram(at_ms(80), short_packet(0x1, true, 3));
+    const auto flow = monitor.find("0000000000000001");
+    ASSERT_TRUE(flow.has_value());
+    EXPECT_EQ(flow->rejected_samples, 1u);
+}
+
+TEST(ConstrainedMonitor, TracksRealConnectionsThroughSharedTap) {
+    // Two concurrent QUIC connections through one monitored link.
+    netsim::Simulator sim;
+    Rng rng{11};
+    ConstrainedMonitor monitor{ConstrainedConfig{}};
+
+    struct Run {
+        std::unique_ptr<netsim::Path> path;
+        std::unique_ptr<quic::Connection> client;
+        std::unique_ptr<quic::Connection> server;
+    };
+    std::vector<Run> runs;
+    for (int i = 0; i < 2; ++i) {
+        Run run;
+        netsim::LinkConfig link;
+        link.base_delay = Duration::millis(10 + i * 25);
+        run.path = std::make_unique<netsim::Path>(sim, link, link, rng);
+        run.path->return_link().add_tap(monitor.tap());
+        quic::ConnectionConfig ccfg;
+        ccfg.role = quic::Role::client;
+        ccfg.spin = {quic::SpinPolicy::spin, 0, quic::SpinPolicy::always_zero};
+        run.client = std::make_unique<quic::Connection>(
+            sim, ccfg, rng.fork(static_cast<std::uint64_t>(i) * 2 + 1),
+            [path = run.path.get()](netsim::Datagram dg) {
+                path->forward_link().send(std::move(dg));
+            });
+        quic::ConnectionConfig scfg;
+        scfg.role = quic::Role::server;
+        scfg.spin = {quic::SpinPolicy::spin, 0, quic::SpinPolicy::always_zero};
+        run.server = std::make_unique<quic::Connection>(
+            sim, scfg, rng.fork(static_cast<std::uint64_t>(i) * 2 + 2),
+            [path = run.path.get()](netsim::Datagram dg) {
+                path->return_link().send(std::move(dg));
+            });
+        run.path->forward_link().set_receiver(
+            [server = run.server.get()](bytes::ConstByteSpan dg) { server->on_datagram(dg); });
+        run.path->return_link().set_receiver(
+            [client = run.client.get()](bytes::ConstByteSpan dg) { client->on_datagram(dg); });
+        run.server->on_stream_complete = [server = run.server.get()](
+                                             std::uint64_t, std::vector<std::uint8_t>) {
+            server->send_stream(0, std::vector<std::uint8_t>(60'000, 1), true);
+        };
+        run.client->on_handshake_complete = [client = run.client.get()] {
+            client->send_stream(0, std::vector<std::uint8_t>(100, 2), true);
+        };
+        run.client->connect();
+        runs.push_back(std::move(run));
+    }
+    sim.run_until(TimePoint::origin() + Duration::seconds(10));
+
+    // The monitor demuxed (at least) the two 1-RTT flows and measured
+    // plausible RTTs for both.
+    EXPECT_GE(monitor.flow_count(), 2u);
+    int measured = 0;
+    for (const auto& [key, stats] : monitor.flows()) {
+        if (!stats.has_estimate) continue;
+        ++measured;
+        EXPECT_GT(stats.srtt_ms(), 15.0);
+        EXPECT_LT(stats.srtt_ms(), 200.0);
+    }
+    EXPECT_GE(measured, 2);
 }
 
 }  // namespace

@@ -106,6 +106,30 @@ TEST(MeasureSpinRtt, SortedDropsDuplicatePacketNumbers) {
     EXPECT_DOUBLE_EQ(sorted.samples_ms[0], 40.0);
 }
 
+TEST(MeasureSpinRtt, SortedOrderKeepsNegativeIntervals) {
+    // pn 3 arrives before pn 2, so in PN order the last edge (pn 3 @ 90 ms)
+    // comes earlier in time than the one before it (pn 2 @ 100 ms). The
+    // batch measurement reports that interval as it is, sign included.
+    std::vector<SpinObservation> packets;
+    packets.push_back(obs(0, 0, false));
+    packets.push_back(obs(40, 1, true));
+    packets.push_back(obs(90, 3, true));
+    packets.push_back(obs(100, 2, false));
+    const auto sorted = measure_spin_rtt(packets, PacketOrder::sorted);
+    EXPECT_EQ(sorted.edge_count, 3u);
+    EXPECT_EQ(sorted.samples_ms, (std::vector<double>{60.0, -10.0}));
+    EXPECT_DOUBLE_EQ(sorted.min_ms(), -10.0);
+
+    // A default streaming observer fed the same PN order still applies its
+    // zero floor.
+    SpinEdgeObserver streaming;
+    for (const auto& p : {packets[0], packets[1], packets[3], packets[2]}) {
+        streaming.on_packet(p);
+    }
+    EXPECT_EQ(streaming.result().samples_ms, (std::vector<double>{60.0}));
+    EXPECT_EQ(streaming.rejected_samples(), 1u);
+}
+
 TEST(MeasureSpinRtt, SingleEdgeYieldsNoSample) {
     std::vector<SpinObservation> packets;
     packets.push_back(obs(0, 0, false));

@@ -7,6 +7,7 @@
 #include "analysis/accuracy.hpp"
 #include "analysis/adoption.hpp"
 #include "analysis/longitudinal.hpp"
+#include "analysis/observer.hpp"
 #include "core/accuracy.hpp"
 #include "qlog/trace.hpp"
 #include "scanner/campaign.hpp"
@@ -120,6 +121,50 @@ TEST_F(PipelineTest, SpinningConnectionsProduceUsableAccuracyData) {
     // overestimates for the overwhelming majority of connections.
     EXPECT_GT(headline.overestimate_share, 0.85);
     EXPECT_LT(headline.underestimate_share, 0.15);
+}
+
+TEST_F(PipelineTest, ObserverReplayIdealizedBoundsConstrained) {
+    scanner::Campaign campaign{population_, {}};
+    analysis::ObserverReplay replay;
+    replay.add(qlog::Trace{});  // no 1-RTT packets: not registered
+    EXPECT_EQ(replay.connection_count(), 0u);
+    std::uint64_t packets = 0;
+    for (const auto& domain : population_.domains()) {
+        if (!domain.quic || population_.org_of(domain).spin_host_rate <= 0.3) continue;
+        const auto scan = campaign.scan_domain(domain);
+        for (const auto& trace : scan.connections) {
+            if (trace.outcome != qlog::ConnectionOutcome::ok) continue;
+            packets += core::spin_observations(trace).size();
+            replay.add(trace);
+        }
+        if (replay.connection_count() >= 24) break;
+    }
+    ASSERT_GE(replay.connection_count(), 3u);
+
+    // The idealized observer is the endpoint's received-order view: it
+    // measures every connection whose record yields spin samples.
+    const auto ideal = replay.run_idealized();
+    EXPECT_EQ(ideal.summary.connections, replay.connection_count());
+    ASSERT_GT(ideal.summary.candidates, 0u);
+    EXPECT_EQ(ideal.summary.measured, ideal.summary.candidates);
+    EXPECT_EQ(ideal.summary.coverage, 1.0);
+    EXPECT_EQ(ideal.summary.table.offered, 0u);
+
+    // Two drop-new slots for three or more flows: some flow must collide,
+    // every datagram lands in exactly one bucket, and at most one flow per
+    // slot is ever measured.
+    core::ConstrainedConfig two_slots;
+    two_slots.log2_slots = 1;
+    const auto constrained = replay.run_constrained(two_slots);
+    const core::ConstrainedTableCounters& t = constrained.summary.table;
+    EXPECT_GT(t.collisions, 0u);
+    EXPECT_EQ(t.offered, packets);
+    EXPECT_EQ(t.non_flow, 0u);
+    EXPECT_EQ(t.offered, t.non_flow + t.sampled_out + t.tracked + t.untracked);
+    EXPECT_EQ(t.collisions, t.untracked + t.evictions);
+    EXPECT_EQ(constrained.summary.candidates, ideal.summary.candidates);
+    EXPECT_LE(constrained.summary.measured, ideal.summary.measured);
+    EXPECT_LE(constrained.summary.measured, 2u);
 }
 
 TEST_F(PipelineTest, LongitudinalWeeksVary) {

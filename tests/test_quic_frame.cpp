@@ -176,7 +176,7 @@ TEST(Frames, MultipleFramesInOnePayload) {
 
 TEST(Frames, UnknownTypeRejected) {
     std::vector<std::uint8_t> wire;
-    encode_varint(wire, 0x33);  // not implemented
+    bytes::encode_varint(wire, 0x33);  // not implemented
     EXPECT_FALSE(decode_frames(wire, kExp).has_value());
 }
 
@@ -193,11 +193,11 @@ TEST(Frames, TruncatedStreamRejected) {
 TEST(Frames, MalformedAckRejected) {
     // first_range > largest is impossible.
     std::vector<std::uint8_t> wire;
-    encode_varint(wire, 0x02);  // ACK
-    encode_varint(wire, 5);     // largest
-    encode_varint(wire, 0);     // delay
-    encode_varint(wire, 0);     // range count
-    encode_varint(wire, 9);     // first range length > largest
+    bytes::encode_varint(wire, 0x02);  // ACK
+    bytes::encode_varint(wire, 5);     // largest
+    bytes::encode_varint(wire, 0);     // delay
+    bytes::encode_varint(wire, 0);     // range count
+    bytes::encode_varint(wire, 9);     // first range length > largest
     EXPECT_FALSE(decode_frames(wire, kExp).has_value());
 }
 

@@ -138,7 +138,7 @@ TEST(Robustness, MalformedFramePayloadDropsPacketOnly) {
         header.dcid = ConnectionId::from_u64(0);  // wrong CID is fine, parse-only
         header.packet_number = 9999;
         std::vector<std::uint8_t> payload;
-        encode_varint(payload, 0x3f);  // unimplemented frame type
+        bytes::encode_varint(payload, 0x3f);  // unimplemented frame type
         Datagram wire;
         encode_packet(wire, header, payload, kInvalidPacketNumber);
         pair.client->on_datagram(wire);
@@ -321,10 +321,10 @@ TEST(Robustness, HugeAckDelayIsClampedNotOverflowed) {
     // delay_units = kVarintMax with a large exponent would shift far past
     // int64 without the clamp; the decoded delay must stay finite and sane.
     std::vector<std::uint8_t> wire;
-    Writer w{wire};
+    bytes::ByteWriter w{wire};
     w.varint(0x02);        // ACK
     w.varint(5);           // largest acked
-    w.varint(kVarintMax);  // ack delay units
+    w.varint(bytes::kVarintMax);  // ack delay units
     w.varint(0);           // extra range count
     w.varint(1);           // first range
     const auto frames = decode_frames(wire, /*ack_delay_exponent=*/20);
@@ -338,19 +338,19 @@ TEST(Robustness, HugeAckDelayIsClampedNotOverflowed) {
 TEST(Robustness, FrameOffsetsNearVarintMaxRejected) {
     // STREAM: offset + length may not exceed the varint ceiling (§19.8).
     std::vector<std::uint8_t> stream_wire;
-    Writer sw{stream_wire};
+    bytes::ByteWriter sw{stream_wire};
     sw.varint(0x0e);  // STREAM | OFF | LEN
     sw.varint(0);     // stream id
-    sw.varint(kVarintMax);
+    sw.varint(bytes::kVarintMax);
     sw.varint(1);
     sw.u8(0xAB);
     EXPECT_FALSE(decode_frames(stream_wire, 3).has_value());
 
     // CRYPTO: same rule (§19.6).
     std::vector<std::uint8_t> crypto_wire;
-    Writer cw{crypto_wire};
+    bytes::ByteWriter cw{crypto_wire};
     cw.varint(0x06);
-    cw.varint(kVarintMax);
+    cw.varint(bytes::kVarintMax);
     cw.varint(2);
     cw.u8(0x01);
     cw.u8(0x02);

@@ -1,25 +1,25 @@
-// Unit tests for the RFC 9000 §16 varint codec and the Reader/Writer
-// helpers, including the RFC's worked examples (Appendix A.1).
+// Unit tests for the RFC 9000 §16 varint codec and the bytes::ByteReader/
+// ByteWriter cursors, including the RFC's worked examples (Appendix A.1).
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "quic/varint.hpp"
+#include "bytes/cursor.hpp"
 #include "util/rng.hpp"
 
 namespace spinscope::quic {
 namespace {
 
 TEST(Varint, SizeSelection) {
-    EXPECT_EQ(varint_size(0), 1u);
-    EXPECT_EQ(varint_size(63), 1u);
-    EXPECT_EQ(varint_size(64), 2u);
-    EXPECT_EQ(varint_size(16383), 2u);
-    EXPECT_EQ(varint_size(16384), 4u);
-    EXPECT_EQ(varint_size((1ULL << 30) - 1), 4u);
-    EXPECT_EQ(varint_size(1ULL << 30), 8u);
-    EXPECT_EQ(varint_size(kVarintMax), 8u);
+    EXPECT_EQ(bytes::varint_size(0), 1u);
+    EXPECT_EQ(bytes::varint_size(63), 1u);
+    EXPECT_EQ(bytes::varint_size(64), 2u);
+    EXPECT_EQ(bytes::varint_size(16383), 2u);
+    EXPECT_EQ(bytes::varint_size(16384), 4u);
+    EXPECT_EQ(bytes::varint_size((1ULL << 30) - 1), 4u);
+    EXPECT_EQ(bytes::varint_size(1ULL << 30), 8u);
+    EXPECT_EQ(bytes::varint_size(bytes::kVarintMax), 8u);
 }
 
 TEST(Varint, Rfc9000Examples) {
@@ -36,9 +36,9 @@ TEST(Varint, Rfc9000Examples) {
     };
     for (const auto& ex : examples) {
         std::vector<std::uint8_t> out;
-        encode_varint(out, ex.value);
+        bytes::encode_varint(out, ex.value);
         EXPECT_EQ(out, ex.wire);
-        const auto decoded = decode_varint(ex.wire);
+        const auto decoded = bytes::decode_varint(ex.wire);
         ASSERT_TRUE(decoded.has_value());
         EXPECT_EQ(decoded->value, ex.value);
         EXPECT_EQ(decoded->consumed, ex.wire.size());
@@ -48,18 +48,18 @@ TEST(Varint, Rfc9000Examples) {
 TEST(Varint, TwoByteEncodingOfSmallValue) {
     // RFC 9000 A.1: 37 can also arrive as the two-byte sequence 0x40 0x25.
     const std::vector<std::uint8_t> wire{0x40, 0x25};
-    const auto decoded = decode_varint(wire);
+    const auto decoded = bytes::decode_varint(wire);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->value, 37u);
     EXPECT_EQ(decoded->consumed, 2u);
 }
 
 TEST(Varint, DecodeRejectsTruncation) {
-    EXPECT_FALSE(decode_varint({}).has_value());
+    EXPECT_FALSE(bytes::decode_varint({}).has_value());
     const std::vector<std::uint8_t> truncated{0x7b};  // declares 2 bytes, has 1
-    EXPECT_FALSE(decode_varint(truncated).has_value());
+    EXPECT_FALSE(bytes::decode_varint(truncated).has_value());
     const std::vector<std::uint8_t> truncated8{0xc2, 0x19, 0x7c};
-    EXPECT_FALSE(decode_varint(truncated8).has_value());
+    EXPECT_FALSE(bytes::decode_varint(truncated8).has_value());
 }
 
 class VarintRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
@@ -67,9 +67,9 @@ class VarintRoundTrip : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(VarintRoundTrip, EncodeDecodeIdentity) {
     const std::uint64_t value = GetParam();
     std::vector<std::uint8_t> out;
-    encode_varint(out, value);
-    EXPECT_EQ(out.size(), varint_size(value));
-    const auto decoded = decode_varint(out);
+    bytes::encode_varint(out, value);
+    EXPECT_EQ(out.size(), bytes::varint_size(value));
+    const auto decoded = bytes::decode_varint(out);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->value, value);
     EXPECT_EQ(decoded->consumed, out.size());
@@ -77,15 +77,15 @@ TEST_P(VarintRoundTrip, EncodeDecodeIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Boundaries, VarintRoundTrip,
                          ::testing::Values(0ULL, 1ULL, 63ULL, 64ULL, 16383ULL, 16384ULL,
-                                           (1ULL << 30) - 1, 1ULL << 30, kVarintMax));
+                                           (1ULL << 30) - 1, 1ULL << 30, bytes::kVarintMax));
 
 TEST(Varint, RandomRoundTripSweep) {
     util::Rng rng{0xabcd};
     for (int i = 0; i < 5000; ++i) {
-        const std::uint64_t value = rng.uniform_u64(kVarintMax + 1);
+        const std::uint64_t value = rng.uniform_u64(bytes::kVarintMax + 1);
         std::vector<std::uint8_t> out;
-        encode_varint(out, value);
-        const auto decoded = decode_varint(out);
+        bytes::encode_varint(out, value);
+        const auto decoded = bytes::decode_varint(out);
         ASSERT_TRUE(decoded.has_value());
         ASSERT_EQ(decoded->value, value);
     }
@@ -104,7 +104,7 @@ std::uint64_t random_varint_value(util::Rng& rng) {
         case 0: return rng.uniform_u64(1ULL << 6);
         case 1: return rng.uniform_u64(1ULL << 14);
         case 2: return rng.uniform_u64(1ULL << 30);
-        default: return rng.uniform_u64(kVarintMax + 1);
+        default: return rng.uniform_u64(bytes::kVarintMax + 1);
     }
 }
 
@@ -113,16 +113,16 @@ TEST(VarintProperty, EncodeDecodeIdentityAcrossSizeClasses) {
     for (int i = 0; i < 10000; ++i) {
         const std::uint64_t value = random_varint_value(rng);
         std::vector<std::uint8_t> out;
-        encode_varint(out, value);
-        ASSERT_EQ(out.size(), varint_size(value)) << "value=" << value;
+        bytes::encode_varint(out, value);
+        ASSERT_EQ(out.size(), bytes::varint_size(value)) << "value=" << value;
         // Minimal-length invariant: the declared size class is the smallest
         // that fits, so re-encoding can never shrink.
-        const auto decoded = decode_varint(out);
+        const auto decoded = bytes::decode_varint(out);
         ASSERT_TRUE(decoded.has_value()) << "value=" << value;
         ASSERT_EQ(decoded->value, value);
         ASSERT_EQ(decoded->consumed, out.size());
-        // Reader::varint and the minimal-only reader agree on minimal wire.
-        Reader r{out};
+        // ByteReader::varint and the minimal-only reader agree on minimal wire.
+        bytes::ByteReader r{out};
         ASSERT_EQ(r.varint_minimal(), value);
         ASSERT_TRUE(r.done());
     }
@@ -135,13 +135,13 @@ TEST(VarintProperty, TrailingBytesDoNotLeakIntoTheDecode) {
     for (int i = 0; i < 10000; ++i) {
         const std::uint64_t value = random_varint_value(rng);
         std::vector<std::uint8_t> wire;
-        encode_varint(wire, value);
+        bytes::encode_varint(wire, value);
         const std::size_t varint_bytes = wire.size();
         const std::size_t junk = 1 + rng.uniform_u64(8);
         for (std::size_t j = 0; j < junk; ++j) {
             wire.push_back(static_cast<std::uint8_t>(rng.uniform_u64(256)));
         }
-        const auto decoded = decode_varint(wire);
+        const auto decoded = bytes::decode_varint(wire);
         ASSERT_TRUE(decoded.has_value());
         ASSERT_EQ(decoded->value, value);
         ASSERT_EQ(decoded->consumed, varint_bytes);
@@ -169,19 +169,19 @@ TEST(VarintProperty, OverlongEncodingsDecodeButFailMinimalReads) {
     int overlong_cases = 0;
     for (int i = 0; i < 10000; ++i) {
         const std::uint64_t value = random_varint_value(rng);
-        const std::size_t minimal = varint_size(value);
+        const std::size_t minimal = bytes::varint_size(value);
         // Pick any representable width; larger than minimal makes it overlong.
         std::size_t width = minimal;
         for (const std::size_t candidate : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
             if (candidate > minimal && rng.chance(0.5)) width = candidate;
         }
         const auto wire = encode_with_width(value, width);
-        const auto decoded = decode_varint(wire);
+        const auto decoded = bytes::decode_varint(wire);
         ASSERT_TRUE(decoded.has_value());
         ASSERT_EQ(decoded->value, value);
         ASSERT_EQ(decoded->consumed, width);
 
-        Reader minimal_reader{wire};
+        bytes::ByteReader minimal_reader{wire};
         if (width == minimal) {
             ASSERT_EQ(minimal_reader.varint_minimal(), value);
         } else {
@@ -196,7 +196,7 @@ TEST(VarintProperty, OverlongEncodingsDecodeButFailMinimalReads) {
 }
 
 TEST(Writer, BigEndianFixedWidths) {
-    Writer w;
+    bytes::ByteWriter w;
     w.u8(0x01);
     w.u16(0x0203);
     w.u32(0x04050607);
@@ -211,7 +211,7 @@ TEST(Writer, BigEndianFixedWidths) {
 }
 
 TEST(Writer, TruncatedBigEndian) {
-    Writer w;
+    bytes::ByteWriter w;
     w.be_truncated(0x11223344, 3);
     const auto& buf = w.buffer();
     ASSERT_EQ(buf.size(), 3u);
@@ -222,7 +222,7 @@ TEST(Writer, TruncatedBigEndian) {
 
 TEST(Writer, ExternalBuffer) {
     std::vector<std::uint8_t> out{0xff};
-    Writer w{out};
+    bytes::ByteWriter w{out};
     w.u8(0x01);
     EXPECT_EQ(out.size(), 2u);
     EXPECT_EQ(out[1], 0x01);
@@ -230,7 +230,7 @@ TEST(Writer, ExternalBuffer) {
 
 TEST(Reader, SequentialReads) {
     const std::vector<std::uint8_t> data{0x01, 0x02, 0x03, 0x25, 0xaa, 0xbb};
-    Reader r{data};
+    bytes::ByteReader r{data};
     EXPECT_EQ(*r.u8(), 0x01);
     EXPECT_EQ(*r.u16(), 0x0203);
     EXPECT_EQ(*r.varint(), 37u);
@@ -243,7 +243,7 @@ TEST(Reader, SequentialReads) {
 
 TEST(Reader, OutOfBoundsReturnsNullopt) {
     const std::vector<std::uint8_t> data{0x01};
-    Reader r{data};
+    bytes::ByteReader r{data};
     EXPECT_FALSE(r.u16().has_value());
     EXPECT_FALSE(r.u32().has_value());
     EXPECT_FALSE(r.u64().has_value());
@@ -254,7 +254,7 @@ TEST(Reader, OutOfBoundsReturnsNullopt) {
 
 TEST(Reader, PeekRestDoesNotAdvance) {
     const std::vector<std::uint8_t> data{0x01, 0x02, 0x03};
-    Reader r{data};
+    bytes::ByteReader r{data};
     (void)r.u8();
     EXPECT_EQ(r.peek_rest().size(), 2u);
     EXPECT_EQ(r.remaining(), 2u);
@@ -262,7 +262,7 @@ TEST(Reader, PeekRestDoesNotAdvance) {
 
 TEST(Reader, BeTruncatedWidthValidation) {
     const std::vector<std::uint8_t> data{1, 2, 3, 4, 5, 6, 7, 8, 9};
-    Reader r{data};
+    bytes::ByteReader r{data};
     EXPECT_FALSE(r.be_truncated(0).has_value());
     EXPECT_FALSE(r.be_truncated(9).has_value());
     EXPECT_EQ(*r.be_truncated(2), 0x0102u);
