@@ -79,14 +79,16 @@ void Timer::set_at(TimePoint t, Callback cb) {
     const std::uint64_t generation = ++state_->generation;
     state_->armed = true;
     state_->expiry = t;
-    sim_->schedule_at(
-        t,
-        [state = state_, generation, cb = std::move(cb)]() mutable {
-            if (generation != state->generation || !state->armed) return;
-            state->armed = false;
-            cb();
-        },
-        "timer");
+    state_->callback = std::move(cb);
+    auto fire = [state = state_, generation] {
+        if (generation != state->generation || !state->armed) return;
+        state->armed = false;
+        Callback callback = std::move(state->callback);
+        callback();
+    };
+    static_assert(Simulator::Callback::stores_inline<decltype(fire)>(),
+                  "a timer firing must not heap-allocate per arm");
+    sim_->schedule_at(t, std::move(fire), "timer");
 }
 
 void Timer::set_after(Duration d, Callback cb) { set_at(sim_->now() + d, std::move(cb)); }
@@ -94,6 +96,7 @@ void Timer::set_after(Duration d, Callback cb) { set_at(sim_->now() + d, std::mo
 void Timer::cancel() noexcept {
     ++state_->generation;
     state_->armed = false;
+    state_->callback = nullptr;
 }
 
 }  // namespace spinscope::netsim

@@ -123,6 +123,11 @@ private:
 /// via a generation counter, so stale queue entries become no-ops. The state
 /// is shared with pending queue entries, so destroying a Timer while a stale
 /// firing is still queued is safe (the firing becomes a no-op).
+///
+/// Each arm queues exactly one event, and that event captures only the
+/// shared state and the arm's generation: the armed callback lives in the
+/// state, not in the queue. The firing therefore fits the event's inline
+/// buffer, and arming a timer never allocates once the queue has grown.
 class Timer {
 public:
     using Callback = util::MoveFunction<void()>;
@@ -130,7 +135,8 @@ public:
     explicit Timer(Simulator& sim) : sim_{&sim}, state_{std::make_shared<State>()} {}
 
     /// Destruction cancels: a pending firing becomes a no-op (the shared
-    /// state outlives the Timer inside any still-queued event).
+    /// state outlives the Timer inside any still-queued event) and the
+    /// armed callback is destroyed.
     ~Timer() { cancel(); }
 
     Timer(const Timer&) = delete;
@@ -142,7 +148,8 @@ public:
     /// Arms (or re-arms) the timer to fire after `d`.
     void set_after(Duration d, Callback cb);
 
-    /// Disarms the timer; a pending firing becomes a no-op.
+    /// Disarms the timer and destroys its callback; a pending firing
+    /// becomes a no-op.
     void cancel() noexcept;
 
     [[nodiscard]] bool armed() const noexcept { return state_->armed; }
@@ -156,6 +163,9 @@ private:
         std::uint64_t generation = 0;
         bool armed = false;
         TimePoint expiry = TimePoint::never();
+        /// The armed callback. A re-arm replaces it; a firing moves it out
+        /// before invoking it, so the callback may re-arm its own timer.
+        Callback callback;
     };
 
     Simulator* sim_;

@@ -209,6 +209,9 @@ private:
 
     // --- receive path ------------------------------------------------------
     void handle_packet(const DecodedPacket& packet);
+    /// Tracks, traces and handles a packet whose payload decoded to `frames`.
+    void accept_packet(const DecodedPacket& packet, PnSpace pn_space,
+                       const std::vector<Frame>& frames);
     void handle_frames(PnSpace pn_space, const std::vector<Frame>& frames);
     void handle_ack(PnSpace pn_space, const AckFrame& ack);
     void handle_crypto(PnSpace pn_space, const CryptoFrame& crypto);
@@ -255,6 +258,9 @@ private:
 
     std::map<std::uint64_t, SendQueue> send_streams_;
     std::map<std::uint64_t, ReassemblyBuffer> recv_streams_;
+    /// Frames of the packet being received; reused across packets so
+    /// decoding does not allocate a vector per packet.
+    std::vector<Frame> rx_frames_;
 
     // Congestion state (bytes).
     std::size_t cwnd_ = 0;

@@ -160,12 +160,19 @@ std::vector<std::uint8_t> encode_frames(std::span<const Frame> frames,
 std::optional<std::vector<Frame>> decode_frames(std::span<const std::uint8_t> payload,
                                                 std::uint8_t ack_delay_exponent) {
     std::vector<Frame> frames;
+    if (!decode_frames(payload, ack_delay_exponent, frames)) return std::nullopt;
+    return frames;
+}
+
+bool decode_frames(std::span<const std::uint8_t> payload, std::uint8_t ack_delay_exponent,
+                   std::vector<Frame>& frames) {
+    frames.clear();
     bytes::ByteReader r{payload};
     while (!r.done()) {
         // Frame types must use the minimal varint encoding (RFC 9000 §12.4);
         // an overlong type is a FRAME_ENCODING_ERROR, not an alias.
         const auto type = r.varint_minimal();
-        if (!type) return std::nullopt;
+        if (!type) return false;
         switch (*type) {
             case kTypePadding: {
                 PaddingFrame pad;
@@ -181,18 +188,18 @@ std::optional<std::vector<Frame>> decode_frames(std::span<const std::uint8_t> pa
                 break;
             case kTypeAck: {
                 auto ack = decode_ack(r, ack_delay_exponent);
-                if (!ack) return std::nullopt;
+                if (!ack) return false;
                 frames.emplace_back(std::move(*ack));
                 break;
             }
             case kTypeCrypto: {
                 const auto offset = r.varint();
                 const auto length = r.varint();
-                if (!offset || !length) return std::nullopt;
+                if (!offset || !length) return false;
                 // RFC 9000 §19.6: offset + length must stay a valid varint.
-                if (*offset > bytes::kVarintMax - *length) return std::nullopt;
+                if (*offset > bytes::kVarintMax - *length) return false;
                 const auto data = r.bytes(*length);
-                if (!data) return std::nullopt;
+                if (!data) return false;
                 frames.emplace_back(CryptoFrame{*offset, {data->begin(), data->end()}});
                 break;
             }
@@ -201,20 +208,20 @@ std::optional<std::vector<Frame>> decode_frames(std::span<const std::uint8_t> pa
                 ConnectionCloseFrame close;
                 close.application = *type == kTypeCloseApplication;
                 const auto code = r.varint();
-                if (!code) return std::nullopt;
+                if (!code) return false;
                 close.error_code = *code;
-                if (!close.application && !r.varint()) return std::nullopt;
+                if (!close.application && !r.varint()) return false;
                 const auto reason_length = r.varint();
-                if (!reason_length) return std::nullopt;
+                if (!reason_length) return false;
                 const auto reason = r.bytes(*reason_length);
-                if (!reason) return std::nullopt;
+                if (!reason) return false;
                 close.reason.assign(reason->begin(), reason->end());
                 frames.emplace_back(std::move(close));
                 break;
             }
             case kTypeMaxData: {
                 const auto maximum = r.varint();
-                if (!maximum) return std::nullopt;
+                if (!maximum) return false;
                 frames.emplace_back(MaxDataFrame{*maximum});
                 break;
             }
@@ -227,33 +234,33 @@ std::optional<std::vector<Frame>> decode_frames(std::span<const std::uint8_t> pa
                     const auto bits = static_cast<std::uint8_t>(*type & 0x07);
                     stream.fin = (bits & kStreamFin) != 0;
                     const auto id = r.varint();
-                    if (!id) return std::nullopt;
+                    if (!id) return false;
                     stream.stream_id = *id;
                     if ((bits & kStreamOff) != 0) {
                         const auto offset = r.varint();
-                        if (!offset) return std::nullopt;
+                        if (!offset) return false;
                         stream.offset = *offset;
                     }
                     std::uint64_t length = r.remaining();
                     if ((bits & kStreamLen) != 0) {
                         const auto explicit_length = r.varint();
-                        if (!explicit_length) return std::nullopt;
+                        if (!explicit_length) return false;
                         length = *explicit_length;
                     }
                     // RFC 9000 §19.8: the final byte offset must stay a
                     // valid varint — rejects hostile offsets near 2^62.
-                    if (stream.offset > bytes::kVarintMax - length) return std::nullopt;
+                    if (stream.offset > bytes::kVarintMax - length) return false;
                     const auto data = r.bytes(static_cast<std::size_t>(length));
-                    if (!data) return std::nullopt;
+                    if (!data) return false;
                     stream.data.assign(data->begin(), data->end());
                     frames.emplace_back(std::move(stream));
                     break;
                 }
-                return std::nullopt;  // unknown frame type
+                return false;  // unknown frame type
             }
         }
     }
-    return frames;
+    return true;
 }
 
 }  // namespace spinscope::quic

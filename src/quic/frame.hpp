@@ -122,4 +122,11 @@ void encode_frames(bytes::ByteWriter& w, std::span<const Frame> frames,
 [[nodiscard]] std::optional<std::vector<Frame>> decode_frames(
     std::span<const std::uint8_t> payload, std::uint8_t ack_delay_exponent);
 
+/// Decodes all frames in a packet payload into `frames`, replacing its
+/// contents but keeping its capacity (the connection decodes every packet
+/// into one reused vector). Returns false on malformed input; `frames` then
+/// holds the frames decoded before the fault.
+[[nodiscard]] bool decode_frames(std::span<const std::uint8_t> payload,
+                                 std::uint8_t ack_delay_exponent, std::vector<Frame>& frames);
+
 }  // namespace spinscope::quic

@@ -8,10 +8,27 @@ namespace spinscope::quic {
 void ReassemblyBuffer::insert(std::uint64_t offset, std::span<const std::uint8_t> data) {
     if (data.empty()) return;
     const std::uint64_t end = offset + data.size();
-    if (bytes_.size() < end) bytes_.resize(end);
-    std::copy(data.begin(), data.end(), bytes_.begin() + static_cast<std::ptrdiff_t>(offset));
+    // Overwrite what overlaps the buffer, append the rest: the buffer only
+    // zero-fills a gap ahead of an out-of-order chunk.
+    if (bytes_.size() < offset) bytes_.resize(offset);
+    const std::size_t overlap = std::min<std::uint64_t>(bytes_.size() - offset, data.size());
+    std::copy_n(data.begin(), overlap, bytes_.begin() + static_cast<std::ptrdiff_t>(offset));
+    bytes_.insert(bytes_.end(), data.begin() + static_cast<std::ptrdiff_t>(overlap), data.end());
 
-    // Merge [offset, end) into the run map.
+    if (offset <= prefix_) {
+        // In order (or overlapping the prefix): extend the prefix and absorb
+        // the runs it now reaches.
+        if (end <= prefix_) return;
+        prefix_ = end;
+        auto it = runs_.begin();
+        while (it != runs_.end() && it->first <= prefix_) {
+            prefix_ = std::max(prefix_, it->second);
+            it = runs_.erase(it);
+        }
+        return;
+    }
+
+    // Past a gap: merge [offset, end) into the run map.
     std::uint64_t new_start = offset;
     std::uint64_t new_end = end;
     auto it = runs_.lower_bound(new_start);
@@ -34,11 +51,7 @@ void ReassemblyBuffer::set_final_size(std::uint64_t final_size) noexcept {
     final_size_ = final_size;
 }
 
-std::uint64_t ReassemblyBuffer::contiguous_length() const noexcept {
-    // Runs are merged on insert, so a run covering offset 0 starts at 0.
-    if (!runs_.empty() && runs_.begin()->first == 0) return runs_.begin()->second;
-    return 0;
-}
+std::uint64_t ReassemblyBuffer::contiguous_length() const noexcept { return prefix_; }
 
 bool ReassemblyBuffer::complete() const noexcept {
     return final_size_.has_value() && contiguous_length() >= *final_size_;
@@ -47,6 +60,7 @@ bool ReassemblyBuffer::complete() const noexcept {
 std::vector<std::uint8_t> ReassemblyBuffer::take() {
     assert(complete());
     bytes_.resize(*final_size_);
+    prefix_ = 0;
     runs_.clear();
     return std::move(bytes_);
 }

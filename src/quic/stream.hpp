@@ -40,9 +40,12 @@ public:
     [[nodiscard]] bool has_final_size() const noexcept { return final_size_.has_value(); }
 
 private:
-    // Byte buffer grown on demand plus a "received" run-length map
-    // (start -> end, half-open), merged on insert.
+    // Byte buffer grown on demand. Bytes [0, prefix_) have all arrived; the
+    // run map (start -> end, half-open, merged on insert) holds the received
+    // runs beyond a gap, each starting past prefix_. In-order delivery only
+    // ever extends prefix_, so it never touches the map.
     std::vector<std::uint8_t> bytes_;
+    std::uint64_t prefix_ = 0;
     std::map<std::uint64_t, std::uint64_t> runs_;
     std::optional<std::uint64_t> final_size_;
 };

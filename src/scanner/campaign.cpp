@@ -313,7 +313,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
             const double sampled =
                 util::sample_lognormal(rng, stack.body_log_mu, stack.body_log_sigma);
             const auto body_size = static_cast<std::size_t>(
-                std::clamp(sampled, 400.0, 300'000.0));
+                std::clamp(sampled, 400.0, static_cast<double>(kMaxBodyBytes)));
             // Dynamic pages are generated and flushed in pieces (template
             // rendering, database queries); each app-limited pause can land
             // between two spin edges and inflate one RTT sample — the §5.2
@@ -333,7 +333,8 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
                 const bool fin = chunk + 1 == chunk_count;
                 sim.schedule_after(at, [&, part, fin] {
                     if (server.closed() || server.failed()) return;
-                    server.send_stream(kRequestStream, build_body(part), fin);
+                    // Each chunk restarts the filler at its first byte.
+                    server.send_stream(kRequestStream, body_view(part), fin);
                 });
                 offset = end;
             }

@@ -1,6 +1,10 @@
 #include "scanner/http3_mini.hpp"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
+#include <cstring>
+#include <stdexcept>
 
 #include "util/format.hpp"
 
@@ -17,6 +21,34 @@ constexpr std::string_view kHeaderEnd = "\n\n";
 
 using util::as_bytes;
 using util::as_text;
+
+constexpr std::string_view kFiller = "<p>spinscope synthetic page content</p>";
+
+/// The shared body buffer: kMaxBodyBytes rounded up to whole filler
+/// periods, so back-to-back views of it continue the pattern seamlessly.
+constexpr std::size_t kBodyBlockBytes =
+    (kMaxBodyBytes + kFiller.size() - 1) / kFiller.size() * kFiller.size();
+
+struct BodyBlock {
+    BodyBlock() noexcept {
+        // One filler period, then doubling block copies: every copy length
+        // is a whole number of periods until the last, so the pattern holds.
+        std::memcpy(bytes.data(), kFiller.data(), kFiller.size());
+        for (std::size_t filled = kFiller.size(); filled < bytes.size();) {
+            const std::size_t n = std::min(filled, bytes.size() - filled);
+            std::memcpy(bytes.data() + filled, bytes.data(), n);
+            filled += n;
+        }
+    }
+    std::array<std::uint8_t, kBodyBlockBytes> bytes;
+};
+
+/// Built on first use (by the first response served, not by campaign
+/// set-up) and shared read-only by every thread afterwards.
+const BodyBlock& body_block() {
+    static const BodyBlock block;
+    return block;
+}
 
 }  // namespace
 
@@ -55,11 +87,20 @@ std::vector<std::uint8_t> build_response_headers(int status, const std::string& 
     return as_bytes(out);
 }
 
+std::span<const std::uint8_t> body_view(std::size_t size) {
+    if (size > kMaxBodyBytes) {
+        throw std::length_error("scanner: body_view size exceeds kMaxBodyBytes");
+    }
+    return std::span<const std::uint8_t>{body_block().bytes}.first(size);
+}
+
 std::vector<std::uint8_t> build_body(std::size_t size) {
-    std::vector<std::uint8_t> body(size);
-    static constexpr std::string_view kFiller = "<p>spinscope synthetic page content</p>";
-    for (std::size_t i = 0; i < size; ++i) {
-        body[i] = static_cast<std::uint8_t>(kFiller[i % kFiller.size()]);
+    const std::span<const std::uint8_t> block{body_block().bytes};
+    std::vector<std::uint8_t> body;
+    body.reserve(size);
+    while (body.size() < size) {
+        const auto part = block.first(std::min(block.size(), size - body.size()));
+        body.insert(body.end(), part.begin(), part.end());
     }
     return body;
 }

@@ -37,7 +37,18 @@ inline constexpr std::uint64_t kServerControlStream = 3;
                                                                const std::string& location,
                                                                const std::string& server_name);
 
-/// Pseudo page body of `size` bytes (deterministic filler).
+/// Largest response body a campaign server sends: sampled body sizes are
+/// clamped to it, and body_view() serves views up to this size.
+inline constexpr std::size_t kMaxBodyBytes = 300'000;
+
+/// Read-only view of a pseudo page body of `size` bytes (the repeating
+/// filler, starting at its first byte), backed by one shared immutable
+/// buffer: serving a body copies nothing. Throws std::length_error when
+/// `size` exceeds kMaxBodyBytes.
+[[nodiscard]] std::span<const std::uint8_t> body_view(std::size_t size);
+
+/// Owned copy of a pseudo page body of any size (the same bytes body_view()
+/// returns, continued past kMaxBodyBytes).
 [[nodiscard]] std::vector<std::uint8_t> build_body(std::size_t size);
 
 /// Parsed response metadata.

@@ -75,12 +75,23 @@ public:
 
     R operator()(Args... args) { return ops_->invoke(storage(), std::forward<Args>(args)...); }
 
-private:
-    // Sized so the netsim::Timer rearm lambda — a wrapped MoveFunction
-    // (64 bytes) plus a shared_ptr and a generation counter — and delivery
-    // lambdas owning a pooled buffer (3 words) stay inline.
+    /// Inline buffer size. Sized for the simulator's hot events: a
+    /// netsim::Timer firing (its shared state plus a generation, 3 words)
+    /// and a netsim::Link delivery (its link plus an owned pooled buffer,
+    /// 5 words). A MoveFunction itself is kInlineSize + 8 bytes, so a
+    /// closure that wraps another MoveFunction never fits; netsim::Timer
+    /// therefore keeps its callback in its own state instead of the firing.
     static constexpr std::size_t kInlineSize = 96;
 
+    /// True when a callable of type F is stored inline (no heap allocation).
+    /// Hot-path closures static_assert this so a grown capture fails the
+    /// build instead of silently allocating per event.
+    template <typename F>
+    [[nodiscard]] static constexpr bool stores_inline() noexcept {
+        return fits_inline<std::decay_t<F>>();
+    }
+
+private:
     struct Ops {
         R (*invoke)(void*, Args&&...);
         void (*relocate)(void*, void*) noexcept;  // move-construct dst from src, destroy src

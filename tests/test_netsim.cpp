@@ -8,6 +8,10 @@
 #include "netsim/link.hpp"
 #include "netsim/simulator.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/resource.hpp"
+// This test binary's one allocation-counting TU: Timer re-arms are checked
+// for heap traffic below.
+#include "telemetry/alloc_interpose.hpp"
 
 namespace spinscope::netsim {
 namespace {
@@ -276,6 +280,46 @@ TEST(Timer, RearmFromInsideCallback) {
     timer.set_after(Duration::millis(1), cb);
     sim.run();
     EXPECT_EQ(fires, 3);
+}
+
+TEST(Timer, RearmDoesNotAllocateOnceQueueHasGrown) {
+    // Every arm queues one event whose closure captures only the timer's
+    // shared state and a generation; the callback stays in the state. So
+    // once the queue's storage has grown, re-arming never touches the heap.
+    ASSERT_TRUE(telemetry::alloc::active());
+    Simulator sim;
+    Timer timer{sim};
+    int fires = 0;
+    const auto rearm_1000 = [&] {
+        for (int i = 0; i < 1000; ++i) {
+            timer.set_after(Duration::millis(1 + i), [&fires] { ++fires; });
+        }
+    };
+    rearm_1000();  // grows the queue to 1 000 entries (the stale ones stay queued)
+    sim.run();
+    EXPECT_EQ(fires, 1);
+
+    const telemetry::AllocSnapshot before;
+    rearm_1000();
+    EXPECT_EQ(before.count_since(), 0u);
+    EXPECT_EQ(sim.pending(), 1000u);  // still one queue entry per arm
+    sim.run();
+    EXPECT_EQ(fires, 2);
+}
+
+TEST(Timer, CancelReleasesCallback) {
+    // The armed callback lives in the timer's state: cancelling destroys it
+    // at once, without waiting for the stale queue entry to pop.
+    Simulator sim;
+    Timer timer{sim};
+    auto token = std::make_shared<int>(0);
+    timer.set_after(Duration::millis(1), [token] {});
+    EXPECT_EQ(token.use_count(), 2);
+    timer.cancel();
+    EXPECT_EQ(token.use_count(), 1);
+    timer.set_after(Duration::millis(1), [token] {});
+    sim.run();
+    EXPECT_EQ(token.use_count(), 1);  // a fired callback is destroyed too
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include "quic/stream.hpp"
+#include "util/rng.hpp"
 
 namespace spinscope::quic {
 namespace {
@@ -75,6 +77,93 @@ TEST(Reassembly, ManyTinyOutOfOrderChunks) {
     buffer.set_final_size(expected.size());
     ASSERT_TRUE(buffer.complete());
     EXPECT_EQ(buffer.take(), expected);
+}
+
+TEST(Reassembly, PropertySweepMatchesReferenceByteMap) {
+    // Seeded sweep against a reference byte map: random chunking, in-order
+    // runs, reordering, duplicates, overlapping spans, and the FIN learnt
+    // first, last or with the chunk that ends the stream. After every
+    // insert contiguous_length() and complete() must agree with the
+    // reference, and take() must return the stream's bytes once complete.
+    util::Rng rng{20230520};
+    constexpr int kCases = 10'000;
+    int completed = 0;
+    for (int c = 0; c < kCases; ++c) {
+        const std::size_t length = rng.chance(0.05) ? 0 : 1 + rng.uniform_u64(2'000);
+        std::vector<std::uint8_t> content(length);
+        for (auto& byte : content) byte = static_cast<std::uint8_t>(rng.next());
+
+        // Partition into chunks, then add duplicates and overlapping spans.
+        const std::size_t max_chunk = 1 + rng.uniform_u64(rng.chance(0.5) ? 16 : 400);
+        std::vector<std::pair<std::size_t, std::size_t>> chunks;  // [begin, end)
+        for (std::size_t at = 0; at < length;) {
+            const std::size_t end = std::min(length, at + 1 + rng.uniform_u64(max_chunk));
+            chunks.emplace_back(at, end);
+            at = end;
+        }
+        const std::size_t partition_size = chunks.size();
+        for (std::size_t i = 0; i < partition_size; ++i) {
+            if (rng.chance(0.15)) chunks.push_back(chunks[i]);  // retransmission
+        }
+        if (length > 0) {
+            const auto spans = rng.uniform_u64(4);
+            for (std::uint64_t i = 0; i < spans; ++i) {
+                const std::size_t begin = rng.uniform_u64(length);
+                chunks.emplace_back(begin, begin + 1 + rng.uniform_u64(length - begin));
+            }
+        }
+        // Delivery order: in order with tail extras, fully shuffled, or
+        // in order with a few adjacent swaps (mild reordering).
+        const auto order = rng.uniform_u64(3);
+        if (order == 1) {
+            std::shuffle(chunks.begin(), chunks.end(), rng);
+        } else if (order == 2) {
+            for (std::size_t i = 1; i < chunks.size(); ++i) {
+                if (rng.chance(0.2)) std::swap(chunks[i - 1], chunks[i]);
+            }
+        }
+        // FIN: 0 = before any data, 1 = after all data, 2 = with the first
+        // delivered chunk that ends at `length` (as a FIN-bearing frame).
+        const auto fin_mode = length == 0 ? 0 : rng.uniform_u64(3);
+
+        ReassemblyBuffer buffer;
+        std::vector<bool> reference(length);  // byte i has arrived
+        std::size_t reference_prefix = 0;
+        bool fin_known = false;
+        bool delivered = false;
+        const auto check = [&] {
+            if (delivered) return;  // take() hands the bytes over; nothing left to compare
+            while (reference_prefix < length && reference[reference_prefix]) ++reference_prefix;
+            ASSERT_EQ(buffer.contiguous_length(), reference_prefix) << "case " << c;
+            ASSERT_EQ(buffer.has_final_size(), fin_known) << "case " << c;
+            const bool reference_complete = fin_known && reference_prefix >= length;
+            ASSERT_EQ(buffer.complete(), reference_complete) << "case " << c;
+            if (reference_complete && !delivered) {
+                ASSERT_EQ(buffer.take(), content) << "case " << c;
+                delivered = true;
+            }
+        };
+        const auto learn_fin = [&] {
+            fin_known = true;
+            buffer.set_final_size(length);
+        };
+
+        if (fin_mode == 0) learn_fin();
+        check();
+        for (const auto& [begin, end] : chunks) {
+            if (delivered) break;
+            buffer.insert(begin, std::span{content}.subspan(begin, end - begin));
+            std::fill(reference.begin() + static_cast<std::ptrdiff_t>(begin),
+                      reference.begin() + static_cast<std::ptrdiff_t>(end), true);
+            if (fin_mode == 2 && end == length && !fin_known) learn_fin();
+            check();
+        }
+        if (!fin_known) learn_fin();
+        check();
+        ASSERT_TRUE(delivered) << "case " << c;
+        ++completed;
+    }
+    EXPECT_EQ(completed, kCases);
 }
 
 TEST(SendQueue, ChunksRespectLimit) {

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
+#include "netsim/link.hpp"
+#include "quic/connection.hpp"
 #include "scanner/campaign.hpp"
 #include "util/format.hpp"
 #include "scanner/http3_mini.hpp"
@@ -65,6 +70,85 @@ TEST(Http3Mini, BodyIsDeterministicFiller) {
     const auto b = build_body(1000);
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.size(), 1000u);
+}
+
+// The body bytes as first defined: filler[i % 39] from the chunk's first
+// byte. Serving them from a shared block must not change one byte on the
+// wire (golden traces depend on it).
+std::vector<std::uint8_t> reference_body(std::size_t size) {
+    constexpr std::string_view kFiller = "<p>spinscope synthetic page content</p>";
+    std::vector<std::uint8_t> body(size);
+    for (std::size_t i = 0; i < size; ++i) {
+        body[i] = static_cast<std::uint8_t>(kFiller[i % kFiller.size()]);
+    }
+    return body;
+}
+
+TEST(Http3Mini, BodyBytesMatchFillerDefinition) {
+    for (const std::size_t size : {0, 1, 38, 39, 40, 1000, 300'000}) {
+        const auto expected = reference_body(size);
+        EXPECT_EQ(build_body(size), expected) << size;
+        const auto view = body_view(size);
+        EXPECT_TRUE(std::equal(view.begin(), view.end(), expected.begin(), expected.end()))
+            << size;
+    }
+    // Past the shared block, build_body() continues the pattern seamlessly.
+    EXPECT_EQ(build_body(kMaxBodyBytes + 1'000), reference_body(kMaxBodyBytes + 1'000));
+    EXPECT_THROW((void)body_view(kMaxBodyBytes + 1), std::length_error);
+}
+
+TEST(Http3Mini, ChunkedResponseRestartsFillerEachChunk) {
+    // A chunked response (the campaign's dynamic pages) sends each chunk as
+    // its own body_view(): on the wire, every chunk restarts the filler at
+    // its first byte, exactly as one build_body() per chunk did.
+    const std::vector<std::size_t> parts{1'000, 40, 38'000};
+    netsim::Simulator sim;
+    util::Rng rng{7};
+    netsim::LinkConfig link;
+    link.base_delay = util::Duration::millis(10);
+    netsim::Path path{sim, link, link, rng};
+    quic::ConnectionConfig client_cfg;
+    client_cfg.role = quic::Role::client;
+    quic::Connection client{
+        sim, client_cfg, rng.fork(1),
+        [&path](netsim::Datagram dg) { path.forward_link().send(std::move(dg)); }};
+    quic::ConnectionConfig server_cfg;
+    server_cfg.role = quic::Role::server;
+    quic::Connection server{
+        sim, server_cfg, rng.fork(2),
+        [&path](netsim::Datagram dg) { path.return_link().send(std::move(dg)); }};
+    path.forward_link().set_receiver([&](bytes::ConstByteSpan dg) { server.on_datagram(dg); });
+    path.return_link().set_receiver([&](bytes::ConstByteSpan dg) { client.on_datagram(dg); });
+
+    const auto headers = build_response_headers(200, "", "test-stack");
+    server.on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t>) {
+        if (id != kRequestStream) return;
+        server.send_stream(kRequestStream, headers, false);
+        util::Duration at = util::Duration::zero();
+        for (std::size_t i = 0; i < parts.size(); ++i) {
+            at += util::Duration::millis(3);
+            const bool fin = i + 1 == parts.size();
+            sim.schedule_after(at, [&server, part = parts[i], fin] {
+                server.send_stream(kRequestStream, body_view(part), fin);
+            });
+        }
+    };
+    client.on_handshake_complete = [&] {
+        client.send_stream(kRequestStream, build_request("www.example.org"), true);
+    };
+    std::vector<std::uint8_t> received;
+    client.on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t> data) {
+        if (id == kRequestStream) received = std::move(data);
+    };
+    client.connect();
+    sim.run_until(util::TimePoint::origin() + util::Duration::seconds(10));
+
+    std::vector<std::uint8_t> expected = headers;
+    for (const std::size_t part : parts) {
+        const auto chunk = reference_body(part);
+        expected.insert(expected.end(), chunk.begin(), chunk.end());
+    }
+    EXPECT_EQ(received, expected);
 }
 
 TEST(Http3Mini, SettingsDifferPerRole) {
