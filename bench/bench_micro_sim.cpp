@@ -33,6 +33,37 @@ void BM_EventQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue)->Arg(1000)->Arg(100000);
 
+void BM_EventQueueStandingTimers(benchmark::State& state) {
+    // The queue spin_accuracy's attempts run on: every delivery re-arms a
+    // 15 s idle timer, so stale timer firings pile up into a standing queue
+    // of ~600 (one delivery every 25 ms of simulated time), and every
+    // delivery closure owns a pooled datagram. An iteration sends one
+    // datagram and advances 25 ms: one delivery, one re-arm and, once the
+    // queue stands, one stale firing.
+    netsim::Simulator sim;
+    bytes::BufferPool pool;
+    netsim::LinkConfig config;
+    config.base_delay = util::Duration::millis(10);
+    netsim::Link link{sim, config, util::Rng{1}};
+    netsim::Timer idle{sim};
+    link.set_receiver([&idle](bytes::ConstByteSpan) {
+        idle.set_after(util::Duration::seconds(15), [] {});
+    });
+    const auto step = [&] {
+        netsim::Datagram datagram = pool.acquire(1200);
+        datagram.resize(1200);
+        link.send(std::move(datagram));
+        sim.run_until(sim.now() + util::Duration::millis(25));
+    };
+    for (int i = 0; i < 700; ++i) step();  // reach the standing depth
+    const std::uint64_t processed_before = sim.processed();
+    for (auto _ : state) step();
+    benchmark::DoNotOptimize(sim.processed());
+    state.counters["queue_depth"] = static_cast<double>(sim.pending());
+    state.SetItemsProcessed(static_cast<std::int64_t>(sim.processed() - processed_before));
+}
+BENCHMARK(BM_EventQueueStandingTimers);
+
 void BM_LinkTransmission(benchmark::State& state) {
     netsim::Simulator sim;
     netsim::LinkConfig config;

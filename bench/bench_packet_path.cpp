@@ -54,9 +54,10 @@ void BM_EncodeDeliverDecode(benchmark::State& state) {
     header.type = quic::PacketType::one_rtt;
     header.dcid = quic::ConnectionId::from_u64(0x5c0);
     std::vector<quic::Frame> frames;
+    const std::vector<std::uint8_t> body(1000, 0xab);
     quic::StreamFrame stream;
     stream.stream_id = 0;
-    stream.data.assign(1000, 0xab);
+    stream.data = body;
     frames.emplace_back(stream);
 
     std::size_t decoded_frames = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 namespace spinscope::quic {
 
@@ -10,16 +11,15 @@ namespace {
 
 // Simulated-TLS handshake tokens carried in CRYPTO frames. Their content is
 // opaque to the transport; only the sequencing matters for this study.
-constexpr std::string_view kClientHello = "CHLO";
-constexpr std::string_view kServerHello = "SHLO";
-constexpr std::string_view kServerFinished = "SFIN";
-constexpr std::string_view kClientFinished = "CFIN";
+// Static storage: sent CRYPTO frames and their loss-recovery records borrow
+// these bytes for the connection's whole life.
+using Token = std::array<std::uint8_t, 4>;
+constexpr Token kClientHello{'C', 'H', 'L', 'O'};
+constexpr Token kServerHello{'S', 'H', 'L', 'O'};
+constexpr Token kServerFinished{'S', 'F', 'I', 'N'};
+constexpr Token kClientFinished{'C', 'F', 'I', 'N'};
 
-[[nodiscard]] std::vector<std::uint8_t> token_bytes(std::string_view token) {
-    return {token.begin(), token.end()};
-}
-
-[[nodiscard]] bool crypto_is(const CryptoFrame& frame, std::string_view token) {
+[[nodiscard]] bool crypto_is(const CryptoFrame& frame, const Token& token) {
     return frame.offset == 0 && frame.data.size() == token.size() &&
            std::memcmp(frame.data.data(), token.data(), token.size()) == 0;
 }
@@ -80,8 +80,7 @@ void Connection::connect() {
         if (!handshake_complete_) fail();
     });
     arm_idle_timer();
-    send_packet(PnSpace::initial, {Frame{CryptoFrame{0, token_bytes(kClientHello)}}},
-                /*pad_to_mtu=*/true);
+    send_packet(PnSpace::initial, Frame{CryptoFrame{0, kClientHello}}, /*pad_to_mtu=*/true);
 }
 
 void Connection::send_stream(std::uint64_t id, bytes::ConstByteSpan data, bool fin) {
@@ -105,7 +104,7 @@ void Connection::close(std::uint64_t error_code, const std::string& reason, bool
     frame.reason = reason;
     const PnSpace pn_space =
         handshake_complete_ ? PnSpace::application : PnSpace::initial;
-    send_packet(pn_space, {Frame{std::move(frame)}});
+    send_packet(pn_space, Frame{std::move(frame)});
     closed_ = true;
     teardown();
     if (on_closed) on_closed();
@@ -115,7 +114,8 @@ std::size_t Connection::cwnd_available() const noexcept {
     return bytes_in_flight_ >= cwnd_ ? 0 : cwnd_ - bytes_in_flight_;
 }
 
-void Connection::send_packet(PnSpace pn_space, std::vector<Frame> frames, bool pad_to_mtu) {
+void Connection::send_packet(PnSpace pn_space, std::span<const Frame> frames,
+                             bool pad_to_mtu) {
     Space& sp = space(pn_space);
     if (!sp.open) return;
 
@@ -161,11 +161,23 @@ void Connection::send_packet(PnSpace pn_space, std::vector<Frame> frames, bool p
         record.pn = header.packet_number;
         record.sent_at = sim_->now();
         record.bytes = datagram.size();
-        for (auto& frame : frames) {
-            if (std::holds_alternative<CryptoFrame>(frame) ||
-                std::holds_alternative<StreamFrame>(frame)) {
-                record.retransmittable.push_back(std::move(frame));
+        for (const auto& frame : frames) {
+            SentData sent;
+            if (const auto* crypto = std::get_if<CryptoFrame>(&frame)) {
+                sent.kind = SentData::Kind::crypto;
+                sent.range.offset = crypto->offset;
+                sent.crypto = crypto->data;
+            } else if (const auto* stream = std::get_if<StreamFrame>(&frame)) {
+                sent.kind = SentData::Kind::stream;
+                sent.stream_id = stream->stream_id;
+                sent.range = {stream->offset, stream->data.size(), stream->fin};
+            } else {
+                continue;
             }
+            if (record.retransmittable.kind != SentData::Kind::none) {
+                throw std::logic_error("quic: a packet carries at most one CRYPTO or STREAM frame");
+            }
+            record.retransmittable = sent;
         }
         bytes_in_flight_ += record.bytes;
         sp.in_flight.push_back(std::move(record));
@@ -219,7 +231,7 @@ void Connection::send_ack_only(PnSpace pn_space) {
     if (!sp.open) return;
     auto ack = sp.tracker.build_ack(sim_->now());
     if (!ack) return;
-    send_packet(pn_space, {Frame{std::move(*ack)}});
+    send_packet(pn_space, Frame{std::move(*ack)});
 }
 
 void Connection::pump() {
@@ -227,9 +239,13 @@ void Connection::pump() {
     Space& app = space(PnSpace::application);
     if (!app.open) return;
 
+    // Frames are built in the connection's reused vector, moved out for the
+    // loop so a nested pump (a peer wired to answer synchronously) builds
+    // into a vector of its own.
+    std::vector<Frame> frames = std::move(tx_frames_);
     bool ack_included = false;
     while (true) {
-        std::vector<Frame> frames;
+        frames.clear();
         std::size_t budget = config_.mtu - kHeaderMargin;
 
         if (!ack_included && app.tracker.ack_due_immediately()) {
@@ -255,21 +271,17 @@ void Connection::pump() {
                 std::min(budget, cwnd_room) - kStreamFrameMargin;
             for (auto& [stream_id, queue] : send_streams_) {
                 if (!queue.has_pending()) continue;
-                auto chunk = queue.next_chunk(chunk_cap);
+                const auto chunk = queue.next_chunk(chunk_cap);
                 if (!chunk) continue;
-                StreamFrame frame;
-                frame.stream_id = stream_id;
-                frame.offset = chunk->offset;
-                frame.fin = chunk->fin;
-                frame.data = std::move(chunk->data);
-                frames.emplace_back(std::move(frame));
+                frames.emplace_back(StreamFrame{stream_id, chunk->offset, chunk->fin, chunk->data});
                 break;  // one STREAM frame per packet keeps sizing simple
             }
         }
 
         if (frames.empty()) break;
-        send_packet(PnSpace::application, std::move(frames));
+        send_packet(PnSpace::application, frames);
     }
+    tx_frames_ = std::move(frames);
     arm_ack_timer();
 }
 
@@ -485,19 +497,23 @@ void Connection::detect_losses(PnSpace pn_space, TimePoint now) {
     counters_.packets_lost += lost.size();
     for (const auto& packet : lost) {
         bytes_in_flight_ -= std::min(bytes_in_flight_, packet.bytes);
-        for (const auto& frame : packet.retransmittable) {
-            if (const auto* stream = std::get_if<StreamFrame>(&frame)) {
-                send_streams_[stream->stream_id].requeue(
-                    SendQueue::Chunk{stream->offset, stream->data, stream->fin});
-            } else if (std::get_if<CryptoFrame>(&frame) != nullptr) {
-                send_packet(pn_space, {frame});
-            }
+        const SentData& sent = packet.retransmittable;
+        if (sent.kind == SentData::Kind::stream) {
+            send_streams_[sent.stream_id].requeue(sent.range);
+        } else if (sent.kind == SentData::Kind::crypto) {
+            send_packet(pn_space, resend_frame(sent));
         }
     }
     // Multiplicative decrease once per loss event.
     ssthresh_ = std::max(cwnd_ / 2, config_.mtu * 2);
     cwnd_ = ssthresh_;
     pump();
+}
+
+Frame Connection::resend_frame(const SentData& sent) const {
+    if (sent.kind == SentData::Kind::crypto) return CryptoFrame{sent.range.offset, sent.crypto};
+    const SendQueue::Chunk chunk = send_streams_.at(sent.stream_id).chunk_of(sent.range);
+    return StreamFrame{sent.stream_id, chunk.offset, chunk.fin, chunk.data};
 }
 
 void Connection::handle_crypto(PnSpace pn_space, const CryptoFrame& crypto) {
@@ -507,18 +523,19 @@ void Connection::handle_crypto(PnSpace pn_space, const CryptoFrame& crypto) {
             server_saw_chlo_ = true;
             arm_idle_timer();
             auto ack = space(PnSpace::initial).tracker.build_ack(sim_->now());
-            std::vector<Frame> initial_frames;
-            if (ack) initial_frames.emplace_back(std::move(*ack));
-            initial_frames.emplace_back(CryptoFrame{0, token_bytes(kServerHello)});
-            send_packet(PnSpace::initial, std::move(initial_frames));
-            send_packet(PnSpace::handshake, {Frame{CryptoFrame{0, token_bytes(kServerFinished)}}});
+            std::array<Frame, 2> initial_frames;
+            std::size_t count = 0;
+            if (ack) initial_frames[count++] = std::move(*ack);
+            initial_frames[count++] = CryptoFrame{0, kServerHello};
+            send_packet(PnSpace::initial, std::span<const Frame>{initial_frames.data(), count});
+            send_packet(PnSpace::handshake, Frame{CryptoFrame{0, kServerFinished}});
         } else if (pn_space == PnSpace::handshake && crypto_is(crypto, kClientFinished)) {
             if (handshake_confirmed_) return;
             handshake_complete_ = true;
             handshake_confirmed_ = true;
             send_ack_only(PnSpace::handshake);
             discard_space(PnSpace::initial);
-            send_packet(PnSpace::application, {Frame{HandshakeDoneFrame{}}});
+            send_packet(PnSpace::application, Frame{HandshakeDoneFrame{}});
             if (on_handshake_complete) on_handshake_complete();
             pump();
         }
@@ -529,10 +546,11 @@ void Connection::handle_crypto(PnSpace pn_space, const CryptoFrame& crypto) {
     if (pn_space == PnSpace::handshake && crypto_is(crypto, kServerFinished)) {
         if (handshake_complete_) return;
         auto ack = space(PnSpace::handshake).tracker.build_ack(sim_->now());
-        std::vector<Frame> frames;
-        if (ack) frames.emplace_back(std::move(*ack));
-        frames.emplace_back(CryptoFrame{0, token_bytes(kClientFinished)});
-        send_packet(PnSpace::handshake, std::move(frames));
+        std::array<Frame, 2> frames;
+        std::size_t count = 0;
+        if (ack) frames[count++] = std::move(*ack);
+        frames[count++] = CryptoFrame{0, kClientFinished};
+        send_packet(PnSpace::handshake, std::span<const Frame>{frames.data(), count});
         handshake_complete_ = true;
         handshake_timer_.cancel();
         discard_space(PnSpace::initial);
@@ -604,10 +622,11 @@ void Connection::on_pto() {
         const auto oldest = std::min_element(
             sp.in_flight.begin(), sp.in_flight.end(),
             [](const SentPacket& a, const SentPacket& b) { return a.sent_at < b.sent_at; });
-        std::vector<Frame> frames = oldest->retransmittable;
-        if (frames.empty()) frames.emplace_back(PingFrame{});
+        const Frame probe = oldest->retransmittable.kind == SentData::Kind::none
+                                ? Frame{PingFrame{}}
+                                : resend_frame(oldest->retransmittable);
         const bool pad = pn_space == PnSpace::initial && config_.role == Role::client;
-        send_packet(pn_space, std::move(frames), pad);
+        send_packet(pn_space, probe, pad);
         arm_pto();
         return;
     }
@@ -673,38 +692,50 @@ void Connection::finalize_trace() {
     }
 }
 
-void Connection::publish_metrics(telemetry::MetricsRegistry& registry,
-                                 const std::string& prefix) const {
-    registry.counter(prefix + ".attempts").add(1);
-    if (handshake_complete_) registry.counter(prefix + ".handshake_completed").add(1);
+Connection::Metrics::Metrics(telemetry::MetricsRegistry& registry, const std::string& prefix)
+    : attempts{registry, prefix + ".attempts"},
+      handshake_completed{registry, prefix + ".handshake_completed"},
+      failed_after_handshake{registry, prefix + ".failed_after_handshake"},
+      handshake_failed{registry, prefix + ".handshake_failed"},
+      packets_sent{registry, prefix + ".packets_sent"},
+      packets_received{registry, prefix + ".packets_received"},
+      packets_lost{registry, prefix + ".packets_lost"},
+      bytes_sent{registry, prefix + ".bytes_sent"},
+      bytes_received{registry, prefix + ".bytes_received"},
+      pto_fired{registry, prefix + ".pto_fired"},
+      protocol_error{registry, prefix + ".protocol_error"},
+      spin_edges_observed{registry, prefix + ".spin_edges_observed"},
+      grease_suspected{registry, prefix + ".grease_suspected"},
+      min_rtt_ms{registry, prefix + ".min_rtt_ms", telemetry::HistogramSpec{0.1, 2.0, 24}},
+      smoothed_rtt_ms{registry, prefix + ".smoothed_rtt_ms",
+                      telemetry::HistogramSpec{0.1, 2.0, 24}} {}
+
+void Connection::publish_metrics(Metrics& metrics) const {
+    metrics.attempts->add(1);
+    if (handshake_complete_) metrics.handshake_completed->add(1);
     if (failed_) {
-        registry
-            .counter(prefix + (handshake_complete_ ? ".failed_after_handshake"
-                                                   : ".handshake_failed"))
-            .add(1);
+        (handshake_complete_ ? metrics.failed_after_handshake : metrics.handshake_failed)->add(1);
     }
-    registry.counter(prefix + ".packets_sent").add(counters_.packets_sent);
-    registry.counter(prefix + ".packets_received").add(counters_.packets_received);
-    registry.counter(prefix + ".packets_lost").add(counters_.packets_lost);
-    registry.counter(prefix + ".bytes_sent").add(counters_.bytes_sent);
-    registry.counter(prefix + ".bytes_received").add(counters_.bytes_received);
-    registry.counter(prefix + ".pto_fired").add(counters_.pto_fired_total);
-    if (protocol_error_) registry.counter(prefix + ".protocol_error").add(1);
+    metrics.packets_sent->add(counters_.packets_sent);
+    metrics.packets_received->add(counters_.packets_received);
+    metrics.packets_lost->add(counters_.packets_lost);
+    metrics.bytes_sent->add(counters_.bytes_sent);
+    metrics.bytes_received->add(counters_.bytes_received);
+    metrics.pto_fired->add(counters_.pto_fired_total);
+    if (protocol_error_) metrics.protocol_error->add(1);
 
     const std::uint64_t edges = spin_.edges_observed();
-    registry.counter(prefix + ".spin_edges_observed").add(edges);
+    metrics.spin_edges_observed->add(edges);
     // A participating peer flips about once per RTT; per-packet greasing
     // flips on ~half of all packets. Edges on more than a third of a
     // non-trivial 1-RTT packet sample cannot be a plausible spin wave.
     if (counters_.one_rtt_received >= 8 && edges * 3 >= counters_.one_rtt_received) {
-        registry.counter(prefix + ".grease_suspected").add(1);
+        metrics.grease_suspected->add(1);
     }
 
     if (rtt_.has_samples()) {
-        registry.histogram(prefix + ".min_rtt_ms", telemetry::HistogramSpec{0.1, 2.0, 24})
-            .record(rtt_.min_rtt().as_ms());
-        registry.histogram(prefix + ".smoothed_rtt_ms", telemetry::HistogramSpec{0.1, 2.0, 24})
-            .record(rtt_.smoothed_rtt().as_ms());
+        metrics.min_rtt_ms->record(rtt_.min_rtt().as_ms());
+        metrics.smoothed_rtt_ms->record(rtt_.smoothed_rtt().as_ms());
     }
 }
 

@@ -23,6 +23,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -174,19 +175,55 @@ public:
     /// connection is done; the scanner does this for every attempt).
     void finalize_trace();
 
-    /// Adds this connection's transport-level telemetry into `registry`
-    /// under `<prefix>.*`: attempt/handshake/failure counters, cumulative
-    /// PTO fires, loss, spin edges observed, a per-packet-grease suspicion
+    /// The connection's instruments in one registry under `<prefix>.*`,
+    /// resolved on first use (telemetry::Lazy): the conditional ones
+    /// (handshake_completed, protocol_error, grease_suspected, ...) still
+    /// appear only once their condition has held.
+    struct Metrics {
+        explicit Metrics(telemetry::MetricsRegistry& registry,
+                         const std::string& prefix = "quic.conn");
+
+        telemetry::Lazy<telemetry::Counter> attempts;
+        telemetry::Lazy<telemetry::Counter> handshake_completed;
+        telemetry::Lazy<telemetry::Counter> failed_after_handshake;
+        telemetry::Lazy<telemetry::Counter> handshake_failed;
+        telemetry::Lazy<telemetry::Counter> packets_sent;
+        telemetry::Lazy<telemetry::Counter> packets_received;
+        telemetry::Lazy<telemetry::Counter> packets_lost;
+        telemetry::Lazy<telemetry::Counter> bytes_sent;
+        telemetry::Lazy<telemetry::Counter> bytes_received;
+        telemetry::Lazy<telemetry::Counter> pto_fired;
+        telemetry::Lazy<telemetry::Counter> protocol_error;
+        telemetry::Lazy<telemetry::Counter> spin_edges_observed;
+        telemetry::Lazy<telemetry::Counter> grease_suspected;
+        telemetry::Lazy<telemetry::Histogram> min_rtt_ms;
+        telemetry::Lazy<telemetry::Histogram> smoothed_rtt_ms;
+    };
+    /// Adds this connection's transport-level telemetry into the registry
+    /// of `metrics`: attempt/handshake/failure counters, cumulative PTO
+    /// fires, loss, spin edges observed, a per-packet-grease suspicion
     /// counter, and RTT histograms. Call once, when the connection is done.
-    void publish_metrics(telemetry::MetricsRegistry& registry,
-                         const std::string& prefix = "quic.conn") const;
+    void publish_metrics(Metrics& metrics) const;
 
 private:
+    /// The CRYPTO or STREAM frame of a sent packet, kept for loss recovery
+    /// by position instead of by copy. A packet carries at most one.
+    struct SentData {
+        enum class Kind : std::uint8_t { none, crypto, stream };
+        Kind kind = Kind::none;
+        std::uint64_t stream_id = 0;
+        /// Stream bytes to re-read from the stream's send buffer; for CRYPTO
+        /// only the offset is used.
+        SendQueue::Range range;
+        /// CRYPTO data: one of the connection's static handshake tokens.
+        bytes::ConstByteSpan crypto;
+    };
+
     struct SentPacket {
         PacketNumber pn = 0;
         TimePoint sent_at;
         std::size_t bytes = 0;
-        std::vector<Frame> retransmittable;  // CRYPTO/STREAM frames for loss recovery
+        SentData retransmittable;
     };
 
     struct Space {
@@ -202,7 +239,13 @@ private:
     Space& space(PnSpace s) noexcept { return *spaces_[static_cast<std::size_t>(s)]; }
 
     // --- send path ---------------------------------------------------------
-    void send_packet(PnSpace pn_space, std::vector<Frame> frames, bool pad_to_mtu = false);
+    void send_packet(PnSpace pn_space, std::span<const Frame> frames, bool pad_to_mtu = false);
+    void send_packet(PnSpace pn_space, const Frame& frame, bool pad_to_mtu = false) {
+        send_packet(pn_space, std::span<const Frame>{&frame, 1}, pad_to_mtu);
+    }
+    /// The frame a lost or probed packet's SentData resends: same offset,
+    /// bytes and FIN as the original.
+    [[nodiscard]] Frame resend_frame(const SentData& sent) const;
     void pump();                       ///< flush acks + stream data within cwnd
     void send_ack_only(PnSpace pn_space);
     [[nodiscard]] std::size_t cwnd_available() const noexcept;
@@ -261,6 +304,8 @@ private:
     /// Frames of the packet being received; reused across packets so
     /// decoding does not allocate a vector per packet.
     std::vector<Frame> rx_frames_;
+    /// Frames of the packet pump() is building; reused likewise.
+    std::vector<Frame> tx_frames_;
 
     // Congestion state (bytes).
     std::size_t cwnd_ = 0;

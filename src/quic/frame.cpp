@@ -58,30 +58,35 @@ constexpr std::uint64_t kMaxAckDelayMicros = 1ULL << 42;
 void encode_ack(bytes::ByteWriter& w, const AckFrame& ack, std::uint8_t exponent) {
     assert(!ack.ranges.empty());
     // Ranges must be descending with a gap of >= 2 between them (RFC 9000
-    // §19.3.1 cannot express adjacency). Drop violators up front rather than
-    // emit an unparseable frame; the tracker merges, so this never fires in
-    // practice.
-    std::vector<const AckRange*> valid;
-    valid.reserve(ack.ranges.size());
-    valid.push_back(&ack.ranges.front());
-    for (std::size_t i = 1; i < ack.ranges.size(); ++i) {
-        const auto& range = ack.ranges[i];
-        assert(range.largest + 2 <= valid.back()->smallest);
-        if (range.largest + 2 <= valid.back()->smallest) valid.push_back(&range);
-    }
+    // §19.3.1 cannot express adjacency). Skip violators rather than emit an
+    // unparseable frame; the tracker merges, so this never fires in
+    // practice. Two passes over the ranges: the count goes first on the
+    // wire.
+    const auto for_each_valid = [&ack](auto&& emit) {
+        const AckRange* previous = &ack.ranges.front();
+        for (std::size_t i = 1; i < ack.ranges.size(); ++i) {
+            const auto& range = ack.ranges[i];
+            assert(range.largest + 2 <= previous->smallest);
+            if (range.largest + 2 > previous->smallest) continue;
+            emit(*previous, range);
+            previous = &range;
+        }
+    };
+    std::size_t extra_ranges = 0;
+    for_each_valid([&extra_ranges](const AckRange&, const AckRange&) { ++extra_ranges; });
 
     w.varint(kTypeAck);
-    const auto& first = *valid.front();
+    const auto& first = ack.ranges.front();
     w.varint(first.largest);
     const auto micros = static_cast<std::uint64_t>(std::max<std::int64_t>(
         0, ack.ack_delay.count_micros()));
     w.varint(micros >> exponent);
-    w.varint(valid.size() - 1);
+    w.varint(extra_ranges);
     w.varint(first.largest - first.smallest);
-    for (std::size_t i = 1; i < valid.size(); ++i) {
-        w.varint(valid[i - 1]->smallest - valid[i]->largest - 2);
-        w.varint(valid[i]->largest - valid[i]->smallest);
-    }
+    for_each_valid([&w](const AckRange& previous, const AckRange& range) {
+        w.varint(previous.smallest - range.largest - 2);
+        w.varint(range.largest - range.smallest);
+    });
 }
 
 }  // namespace
@@ -200,7 +205,7 @@ bool decode_frames(std::span<const std::uint8_t> payload, std::uint8_t ack_delay
                 if (*offset > bytes::kVarintMax - *length) return false;
                 const auto data = r.bytes(*length);
                 if (!data) return false;
-                frames.emplace_back(CryptoFrame{*offset, {data->begin(), data->end()}});
+                frames.emplace_back(CryptoFrame{*offset, *data});
                 break;
             }
             case kTypeCloseTransport:
@@ -252,7 +257,7 @@ bool decode_frames(std::span<const std::uint8_t> payload, std::uint8_t ack_delay
                     if (stream.offset > bytes::kVarintMax - length) return false;
                     const auto data = r.bytes(static_cast<std::size_t>(length));
                     if (!data) return false;
-                    stream.data.assign(data->begin(), data->end());
+                    stream.data = *data;
                     frames.emplace_back(std::move(stream));
                     break;
                 }

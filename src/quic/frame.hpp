@@ -53,18 +53,22 @@ struct AckFrame {
 };
 
 /// CRYPTO frame (type 0x06): carries the simulated TLS handshake bytes.
+/// `data` borrows: a decoded frame views the payload it was decoded from,
+/// and a frame to send views the sender's bytes (the connection's static
+/// handshake tokens).
 struct CryptoFrame {
     std::uint64_t offset = 0;
-    std::vector<std::uint8_t> data;
+    bytes::ConstByteSpan data;
 };
 
 /// STREAM frame (types 0x08-0x0f): application data. spinscope uses client
-/// bidi stream 0 for the HTTP/3-mini request/response.
+/// bidi stream 0 for the HTTP/3-mini request/response. `data` borrows like
+/// CryptoFrame's: the received datagram or the stream's send buffer.
 struct StreamFrame {
     std::uint64_t stream_id = 0;
     std::uint64_t offset = 0;
     bool fin = false;
-    std::vector<std::uint8_t> data;
+    bytes::ConstByteSpan data;
 };
 
 /// MAX_DATA (type 0x10): connection flow-control credit. spinscope does not
@@ -118,14 +122,16 @@ void encode_frames(bytes::ByteWriter& w, std::span<const Frame> frames,
                                                       std::uint8_t ack_delay_exponent);
 
 /// Decodes all frames in a packet payload. Returns nullopt on malformed
-/// input (unknown frame type, truncation).
+/// input (unknown frame type, truncation). CRYPTO and STREAM data borrow
+/// `payload`, which must outlive the frames.
 [[nodiscard]] std::optional<std::vector<Frame>> decode_frames(
     std::span<const std::uint8_t> payload, std::uint8_t ack_delay_exponent);
 
 /// Decodes all frames in a packet payload into `frames`, replacing its
 /// contents but keeping its capacity (the connection decodes every packet
 /// into one reused vector). Returns false on malformed input; `frames` then
-/// holds the frames decoded before the fault.
+/// holds the frames decoded before the fault. CRYPTO and STREAM data borrow
+/// `payload`, which must outlive the frames.
 [[nodiscard]] bool decode_frames(std::span<const std::uint8_t> payload,
                                  std::uint8_t ack_delay_exponent, std::vector<Frame>& frames);
 

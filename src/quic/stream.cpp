@@ -72,17 +72,14 @@ void SendQueue::append(std::span<const std::uint8_t> data, bool fin) {
 
 std::optional<SendQueue::Chunk> SendQueue::next_chunk(std::size_t max_bytes) {
     if (!retransmit_.empty()) {
-        Chunk chunk = std::move(retransmit_.back());
+        const Range range = retransmit_.back();
         retransmit_.pop_back();
-        return chunk;
+        return chunk_of(range);
     }
     if (!has_pending() || max_bytes == 0) return std::nullopt;
-    Chunk chunk;
-    chunk.offset = next_offset_;
     const std::uint64_t available = buffer_.size() - next_offset_;
     const std::uint64_t take = std::min<std::uint64_t>(available, max_bytes);
-    chunk.data.assign(buffer_.begin() + static_cast<std::ptrdiff_t>(next_offset_),
-                      buffer_.begin() + static_cast<std::ptrdiff_t>(next_offset_ + take));
+    Chunk chunk{next_offset_, std::span{buffer_}.subspan(next_offset_, take), false};
     next_offset_ += take;
     if (fin_ && next_offset_ == buffer_.size()) {
         chunk.fin = true;
@@ -91,6 +88,11 @@ std::optional<SendQueue::Chunk> SendQueue::next_chunk(std::size_t max_bytes) {
     return chunk;
 }
 
-void SendQueue::requeue(const Chunk& chunk) { retransmit_.push_back(chunk); }
+void SendQueue::requeue(const Range& range) { retransmit_.push_back(range); }
+
+SendQueue::Chunk SendQueue::chunk_of(const Range& range) const {
+    assert(range.offset + range.length <= next_offset_);
+    return {range.offset, std::span{buffer_}.subspan(range.offset, range.length), range.fin};
+}
 
 }  // namespace spinscope::quic

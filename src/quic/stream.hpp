@@ -50,7 +50,9 @@ private:
     std::optional<std::uint64_t> final_size_;
 };
 
-/// Send side of one stream: a byte queue consumed in MTU-sized chunks.
+/// Send side of one stream: an append-only byte buffer consumed in
+/// MTU-sized chunks. Sent bytes stay in the buffer, so loss recovery keeps
+/// only positions and re-reads the bytes from here.
 class SendQueue {
 public:
     /// Appends data (copied into the queue — the span need only live for
@@ -61,19 +63,33 @@ public:
         return !retransmit_.empty() || next_offset_ < buffer_.size() || (fin_ && !fin_sent_);
     }
 
+    /// A part of the stream by position: what a sent packet records for
+    /// loss recovery instead of a copy of the bytes.
+    struct Range {
+        std::uint64_t offset = 0;
+        std::uint64_t length = 0;
+        bool fin = false;
+    };
+
+    /// A part of the stream with its bytes: `data` views the queue's buffer
+    /// and stays valid until the next append().
     struct Chunk {
         std::uint64_t offset = 0;
-        std::vector<std::uint8_t> data;
+        std::span<const std::uint8_t> data;
         bool fin = false;
     };
 
     /// Pops up to `max_bytes` of the next unsent data (possibly an empty
-    /// FIN-only chunk). Returns nullopt when nothing is pending.
+    /// FIN-only chunk); a requeued range comes first, whole. Returns nullopt
+    /// when nothing is pending.
     [[nodiscard]] std::optional<Chunk> next_chunk(std::size_t max_bytes);
 
-    /// Re-queues a chunk for retransmission (loss recovery); idempotent with
-    /// respect to receiver state thanks to offset-based reassembly.
-    void requeue(const Chunk& chunk);
+    /// Re-queues a sent range for retransmission (loss recovery); idempotent
+    /// with respect to receiver state thanks to offset-based reassembly.
+    void requeue(const Range& range);
+
+    /// The bytes of an already sent range (probe retransmission).
+    [[nodiscard]] Chunk chunk_of(const Range& range) const;
 
     [[nodiscard]] std::uint64_t bytes_queued() const noexcept { return buffer_.size(); }
 
@@ -82,7 +98,7 @@ private:
     std::uint64_t next_offset_ = 0;
     bool fin_ = false;
     bool fin_sent_ = false;
-    std::vector<Chunk> retransmit_;
+    std::vector<Range> retransmit_;
 };
 
 }  // namespace spinscope::quic

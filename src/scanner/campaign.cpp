@@ -117,12 +117,28 @@ std::string CampaignStats::render() const {
     return table.render(true);
 }
 
+Campaign::ScanTelemetry::ScanTelemetry(telemetry::MetricsRegistry& registry)
+    : registry{&registry},
+      sim{registry},
+      forward_link{registry, "netsim.link.forward"},
+      return_link{registry, "netsim.link.return"},
+      conn{registry},
+      pool{registry},
+      attempt_ms{registry, "scanner.phase.attempt_ms", telemetry::wall_ms_spec()},
+      redirect_ms{registry, "scanner.phase.redirect_ms", telemetry::wall_ms_spec()},
+      finalize_ms{registry, "scanner.phase.finalize_ms", telemetry::wall_ms_spec()},
+      resolve_ms{registry, "scanner.phase.resolve_ms", telemetry::wall_ms_spec()},
+      attempt_sim_ms{registry, "scanner.attempt_sim_ms", telemetry::sim_ms_spec()},
+      watchdog_cancelled{registry, "scanner.watchdog_cancelled"},
+      redirects_followed{registry, "scanner.redirects_followed"} {}
+
 Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
                                                const std::string& host, int redirect_hop,
                                                int retry, bool serve_redirect,
                                                Duration deadline,
-                                               telemetry::MetricsRegistry* metrics,
+                                               ScanTelemetry* instruments,
                                                bytes::BufferPool* pool,
+                                               netsim::QueueStorage* queue,
                                                core::ConstrainedMonitor* observer) const {
     // The watchdog capped this attempt below the normal per-attempt
     // deadline: a cut-off is then a kill, not an ordinary timeout.
@@ -131,15 +147,15 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
     // Redirect follow-ups are profiled as their own phase: their cost is
     // extra connections, which the first-attempt phase must not absorb.
     std::optional<telemetry::ScopedTimer> attempt_timer;
-    if (metrics != nullptr) {
-        attempt_timer.emplace(*metrics, redirect_hop == 0 ? "scanner.phase.attempt_ms"
-                                                          : "scanner.phase.redirect_ms");
+    if (instruments != nullptr) {
+        attempt_timer.emplace(redirect_hop == 0 ? *instruments->attempt_ms
+                                                : *instruments->redirect_ms);
     }
     AttemptOutcome out;
     out.trace.host = host;
     out.trace.ip = pop.host_address(domain, options_.ipv6);
 
-    Simulator sim;
+    Simulator sim{queue};
     // Attempt randomness is a domain-keyed sub-stream (the sharded
     // determinism contract, DESIGN.md §9): never a function of scan order,
     // shard assignment or thread count. (hop | retry << 16) keeps retry 0
@@ -190,9 +206,7 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
     const auto finish_attempt = [&](bool drained, bool got_response) {
         {
             std::optional<telemetry::ScopedTimer> finalize_timer;
-            if (metrics != nullptr) {
-                finalize_timer.emplace(*metrics, "scanner.phase.finalize_ms");
-            }
+            if (instruments != nullptr) finalize_timer.emplace(*instruments->finalize_ms);
             client.finalize_trace();
             if (got_response) {
                 out.trace.outcome = qlog::ConnectionOutcome::ok;
@@ -210,13 +224,12 @@ Campaign::AttemptOutcome Campaign::run_attempt(const web::Domain& domain,
             }
         }
         out.sim_elapsed = sim.now() - TimePoint::origin();
-        if (metrics != nullptr) {
-            sim.publish_metrics(*metrics);
-            path.forward_link().publish_metrics(*metrics, "netsim.link.forward");
-            path.return_link().publish_metrics(*metrics, "netsim.link.return");
-            client.publish_metrics(*metrics);
-            telemetry::record_sim_time(*metrics, "scanner.attempt_sim_ms",
-                                       sim.now() - TimePoint::origin());
+        if (instruments != nullptr) {
+            sim.publish_metrics(instruments->sim);
+            path.forward_link().publish_metrics(instruments->forward_link);
+            path.return_link().publish_metrics(instruments->return_link);
+            client.publish_metrics(instruments->conn);
+            telemetry::record_sim_time(*instruments->attempt_sim_ms, out.sim_elapsed);
         }
     };
 
@@ -364,8 +377,13 @@ DomainScan Campaign::scan_domain(const web::Domain& domain) const {
     // One-off scans get a transient pool: the first attempt seeds it and
     // later attempts of the same domain reuse the recycled datagram storage.
     bytes::BufferPool pool;
-    DomainScan scan = scan_domain_into(domain, metrics_, &pool);
-    if (metrics_ != nullptr) pool.publish_metrics(*metrics_);
+    ScanTelemetry* instruments = nullptr;
+    if (metrics_ != nullptr) {
+        if (!scan_telemetry_) scan_telemetry_ = std::make_unique<ScanTelemetry>(*metrics_);
+        instruments = scan_telemetry_.get();
+    }
+    DomainScan scan = scan_domain_into(domain, instruments, &pool, scan_queue_.get());
+    if (instruments != nullptr) pool.publish_metrics(instruments->pool);
     return scan;
 }
 
@@ -405,14 +423,20 @@ ScannedChunk Campaign::scan_chunk(std::size_t chunk_index) const {
     // the snapshot below must be byte-identical to what run() journals for
     // this chunk, or the reducer's merged telemetry would drift.
     std::unique_ptr<telemetry::MetricsRegistry> metrics;
-    if (metrics_ != nullptr) metrics = std::make_unique<telemetry::MetricsRegistry>();
+    std::optional<ScanTelemetry> instruments;
+    if (metrics_ != nullptr) {
+        metrics = std::make_unique<telemetry::MetricsRegistry>();
+        instruments.emplace(*metrics);
+    }
     bytes::BufferPool pool;
+    netsim::QueueStorage queue;
     ScannedChunk out;
     out.scans.reserve(block.size());
     for (const web::Domain& domain : block.domains) {
         DomainScan scan;
         try {
-            scan = scan_domain_into(domain, metrics.get(), &pool);
+            scan = scan_domain_into(domain, instruments ? &*instruments : nullptr, &pool,
+                                    &queue);
         } catch (const std::exception& e) {
             scan = DomainScan{};
             scan.domain_id = domain.id;
@@ -421,22 +445,24 @@ ScannedChunk Campaign::scan_chunk(std::size_t chunk_index) const {
         out.scans.push_back(std::move(scan));
     }
     if (metrics != nullptr) {
-        pool.publish_metrics(*metrics);
+        pool.publish_metrics(instruments->pool);
         out.telemetry_snapshot = telemetry::snapshot(*metrics);
     }
     return out;
 }
 
-DomainScan Campaign::scan_domain_into(const web::Domain& domain,
-                                      telemetry::MetricsRegistry* metrics,
-                                      bytes::BufferPool* pool) const {
+DomainScan Campaign::scan_domain_into(const web::Domain& domain, ScanTelemetry* instruments,
+                                      bytes::BufferPool* pool,
+                                      netsim::QueueStorage* queue) const {
+    telemetry::MetricsRegistry* const metrics =
+        instruments != nullptr ? instruments->registry : nullptr;
     DomainScan scan;
     scan.domain_id = domain.id;
     {
         // DNS is modelled as a population lookup, but it is still a campaign
         // phase: profiling it keeps the phase breakdown exhaustive.
         std::optional<telemetry::ScopedTimer> resolve_timer;
-        if (metrics != nullptr) resolve_timer.emplace(*metrics, "scanner.phase.resolve_ms");
+        if (instruments != nullptr) resolve_timer.emplace(*instruments->resolve_ms);
         scan.resolved = domain.resolves && (!options_.ipv6 || domain.has_ipv6);
     }
     if (!scan.resolved) return scan;
@@ -465,16 +491,14 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
         for (int retry = 0;; ++retry) {
             const Duration deadline = std::min(options_.attempt_deadline, budget);
             outcome = run_attempt(domain, host, hop, retry, serve_redirect, deadline,
-                                  metrics, pool, observer ? &*observer : nullptr);
+                                  instruments, pool, queue, observer ? &*observer : nullptr);
             scan.sim_time += outcome->sim_elapsed;
             budget -= outcome->sim_elapsed;
             if (budget <= Duration::zero()) budget_exhausted = true;
             const bool ok = outcome->trace.outcome == qlog::ConnectionOutcome::ok;
             if (outcome->trace.outcome == qlog::ConnectionOutcome::watchdog_cancelled) {
                 budget_exhausted = true;
-                if (metrics != nullptr) {
-                    metrics->counter("scanner.watchdog_cancelled").add(1);
-                }
+                if (instruments != nullptr) instruments->watchdog_cancelled->add(1);
             }
             // Bounded attempt log: past the cap, the attempt still ran (and
             // is counted below) but its record and trace are dropped.
@@ -509,7 +533,7 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain,
         scan.final_response = outcome->response;
         if (!redirected) break;
         ++scan.redirects_followed;
-        if (metrics != nullptr) metrics->counter("scanner.redirects_followed").add(1);
+        if (instruments != nullptr) instruments->redirects_followed->add(1);
         host = outcome->response->location;
         serve_redirect = false;  // the canonical target serves the page
     }
@@ -1107,8 +1131,10 @@ CampaignStats Campaign::run_impl(
             static_cast<std::uint32_t>(base_domain + rest_plan.chunk_begin(c)),
             static_cast<std::uint32_t>(base_domain + rest_plan.chunk_end(c)));
         ChunkResult result;
+        std::optional<ScanTelemetry> instruments;
         if (metrics_ != nullptr) {
             result.metrics = std::make_unique<telemetry::MetricsRegistry>();
+            instruments.emplace(*result.metrics);
         }
         // Chunk-private datagram pool, same ownership story as the chunk
         // registry: touched by exactly one worker, so no locking. Datagram
@@ -1118,6 +1144,9 @@ CampaignStats Campaign::run_impl(
         // here. Pool counters depend on chunk geometry, which is why
         // deterministic_csv excludes the bytes.pool prefix.
         bytes::BufferPool pool;
+        // Event-queue storage, recycled across the chunk's attempts the same
+        // way (DESIGN.md §10.2).
+        netsim::QueueStorage queue;
         result.scans.reserve(block.size());
         for (const web::Domain& domain : block.domains) {
             // Per-domain fault isolation: one pathological target must cost
@@ -1126,7 +1155,8 @@ CampaignStats Campaign::run_impl(
             // monotonic either way.
             DomainScan scan;
             try {
-                scan = scan_domain_into(domain, result.metrics.get(), &pool);
+                scan = scan_domain_into(domain, instruments ? &*instruments : nullptr, &pool,
+                                        &queue);
             } catch (const std::exception& e) {
                 scan = DomainScan{};
                 scan.domain_id = domain.id;
@@ -1134,7 +1164,7 @@ CampaignStats Campaign::run_impl(
             }
             result.scans.push_back(std::move(scan));
         }
-        if (result.metrics != nullptr) pool.publish_metrics(*result.metrics);
+        if (instruments) pool.publish_metrics(instruments->pool);
         chunks[c % window] = std::move(result);
         if (trace != nullptr) {
             const std::int64_t end_ns = trace->wall_now_ns();

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -255,7 +256,9 @@ public:
     /// Throws std::invalid_argument when `options` fails validation (see
     /// ScanOptions::validate); clampable knobs are sanitized silently.
     Campaign(const web::PopulationModel& model, ScanOptions options)
-        : model_{&model}, options_{std::move(options)} {
+        : model_{&model},
+          options_{std::move(options)},
+          scan_queue_{netsim::QueueStorage::of_this_thread()} {
         options_.validate();
     }
 
@@ -268,7 +271,10 @@ public:
     /// link and connection telemetry plus scanner phase timings into it
     /// (pass nullptr to detach). The registry must outlive the campaign
     /// runs; it is written to even from const scan methods.
-    void set_metrics(telemetry::MetricsRegistry* registry) noexcept { metrics_ = registry; }
+    void set_metrics(telemetry::MetricsRegistry* registry) noexcept {
+        metrics_ = registry;
+        scan_telemetry_.reset();
+    }
 
     /// Attaches a flight recorder: run()/resume() then record the campaign
     /// timeline into it (pass nullptr to detach; must outlive the runs).
@@ -376,16 +382,43 @@ private:
         util::Duration sim_elapsed = util::Duration::zero();
     };
 
-    /// scan_domain with telemetry routed into an explicit registry (the
-    /// worker's chunk-private one; nullptr disables), so shard workers never
-    /// share a registry. `pool` is the chunk-private datagram buffer pool:
-    /// like the registry it is owned by exactly one worker at a time, so no
-    /// locking — and unlike the registry it may be null only for callers
-    /// that accept per-datagram heap traffic. scan_domain() delegates here
-    /// with metrics_ and a transient local pool.
+    /// Handles for every instrument a scan publishes per attempt into one
+    /// registry, so an attempt publishes without building names or walking
+    /// the registry's maps. Each resolves on first use (telemetry::Lazy), so
+    /// the registry holds exactly the instruments direct lookups would have
+    /// created. One per chunk registry; scan_domain() keeps one for metrics_.
+    struct ScanTelemetry {
+        explicit ScanTelemetry(telemetry::MetricsRegistry& registry);
+
+        telemetry::MetricsRegistry* registry;
+        netsim::Simulator::Metrics sim;
+        netsim::Link::Metrics forward_link;
+        netsim::Link::Metrics return_link;
+        quic::Connection::Metrics conn;
+        bytes::BufferPool::Metrics pool;
+        telemetry::Lazy<telemetry::Histogram> attempt_ms;
+        telemetry::Lazy<telemetry::Histogram> redirect_ms;
+        telemetry::Lazy<telemetry::Histogram> finalize_ms;
+        telemetry::Lazy<telemetry::Histogram> resolve_ms;
+        telemetry::Lazy<telemetry::Histogram> attempt_sim_ms;
+        telemetry::Lazy<telemetry::Counter> watchdog_cancelled;
+        telemetry::Lazy<telemetry::Counter> redirects_followed;
+    };
+
+    /// scan_domain with telemetry routed through `instruments`, the handles
+    /// of an explicit registry (the worker's chunk-private one; nullptr
+    /// disables), so shard workers never share a registry. `pool` is the
+    /// chunk-private datagram buffer pool: like the registry it is owned by
+    /// exactly one worker at a time, so no locking — and unlike the registry
+    /// it may be null only for callers that accept per-datagram heap
+    /// traffic. `queue` is the event-queue storage every attempt's simulator
+    /// borrows, owned the same way (null: each simulator grows its own).
+    /// scan_domain() delegates here with metrics_'s handles, a transient
+    /// local pool and scan_queue_.
     [[nodiscard]] DomainScan scan_domain_into(const web::Domain& domain,
-                                              telemetry::MetricsRegistry* metrics,
-                                              bytes::BufferPool* pool) const;
+                                              ScanTelemetry* instruments,
+                                              bytes::BufferPool* pool,
+                                              netsim::QueueStorage* queue) const;
 
     /// `deadline` is the effective simulated-time bound for this attempt:
     /// min(attempt_deadline, remaining domain watchdog budget). When the
@@ -397,8 +430,9 @@ private:
                                              const std::string& host, int redirect_hop,
                                              int retry, bool serve_redirect,
                                              util::Duration deadline,
-                                             telemetry::MetricsRegistry* metrics,
+                                             ScanTelemetry* instruments,
                                              bytes::BufferPool* pool,
+                                             netsim::QueueStorage* queue,
                                              core::ConstrainedMonitor* observer) const;
 
     /// How run_impl interacts with ScanOptions::journal_dir.
@@ -416,6 +450,16 @@ private:
     /// Not owned; written to from const scan methods (instrumentation sink,
     /// not campaign state).
     telemetry::MetricsRegistry* metrics_ = nullptr;
+    /// scan_domain()'s handles into metrics_: built by the first scan that
+    /// publishes (not at construction), dropped by set_metrics(). Mutable
+    /// like metrics_ is written from const scans, and single-threaded like
+    /// the registry it points into.
+    mutable std::unique_ptr<ScanTelemetry> scan_telemetry_;
+    /// Event-queue storage scan_domain()'s simulators borrow, so one-off
+    /// scans stop regrowing the queue per attempt: the constructing
+    /// thread's, shared with its other campaigns. Concurrent scan_domain()
+    /// calls are safe: a simulator that finds it lent out grows its own.
+    std::shared_ptr<netsim::QueueStorage> scan_queue_;
     /// Not owned; recorded into from const run methods (same sink contract
     /// as metrics_).
     telemetry::TraceRecorder* trace_ = nullptr;

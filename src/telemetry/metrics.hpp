@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace spinscope::telemetry {
@@ -169,6 +170,41 @@ private:
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+};
+
+/// An instrument of one registry, looked up by name on first use and then
+/// cached. Publishing through a Lazy creates the instrument exactly where a
+/// direct `registry.counter(name)` call would: a handle that is never used
+/// leaves no instrument behind, so caching cannot change which instruments
+/// a registry holds. Per-attempt publishers keep one set of handles per
+/// registry instead of building `prefix + ".name"` and walking the map on
+/// every publish. The registry must outlive the handle.
+template <typename Instrument>
+class Lazy {
+public:
+    /// `spec` is used only for histograms, when the lookup creates one.
+    Lazy(MetricsRegistry& registry, std::string name, HistogramSpec spec = {})
+        : registry_{&registry}, name_{std::move(name)}, spec_{spec} {}
+
+    [[nodiscard]] Instrument& operator*() {
+        if (instrument_ == nullptr) {
+            if constexpr (std::is_same_v<Instrument, Counter>) {
+                instrument_ = &registry_->counter(name_);
+            } else if constexpr (std::is_same_v<Instrument, Gauge>) {
+                instrument_ = &registry_->gauge(name_);
+            } else {
+                instrument_ = &registry_->histogram(name_, spec_);
+            }
+        }
+        return *instrument_;
+    }
+    [[nodiscard]] Instrument* operator->() { return &**this; }
+
+private:
+    MetricsRegistry* registry_;
+    std::string name_;
+    HistogramSpec spec_;
+    Instrument* instrument_ = nullptr;
 };
 
 }  // namespace spinscope::telemetry

@@ -37,6 +37,8 @@ namespace spinscope::telemetry {
 class Span {
 public:
     Span(MetricsRegistry& registry, std::string name);
+    /// Records into an already resolved histogram.
+    explicit Span(Histogram& histogram);
 
     /// Records the elapsed time; idempotent (only the first call records).
     double finish();
@@ -44,8 +46,9 @@ public:
     [[nodiscard]] bool finished() const noexcept { return finished_; }
 
 private:
-    MetricsRegistry* registry_;
+    MetricsRegistry* registry_ = nullptr;
     std::string name_;
+    Histogram* histogram_ = nullptr;
     std::chrono::steady_clock::time_point start_;
     bool finished_ = false;
 };
@@ -57,6 +60,7 @@ class ScopedTimer {
 public:
     ScopedTimer(MetricsRegistry& registry, std::string name)
         : span_{registry, std::move(name)} {}
+    explicit ScopedTimer(Histogram& histogram) : span_{histogram} {}
     ~ScopedTimer() { span_.finish(); }
 
     ScopedTimer(const ScopedTimer&) = delete;
@@ -69,5 +73,7 @@ private:
 /// Records a simulated-time duration (ms) into histogram `<name>` (created
 /// with sim_ms_spec). Negative durations are clamped to zero.
 void record_sim_time(MetricsRegistry& registry, const std::string& name, util::Duration d);
+/// Same, into an already resolved histogram.
+void record_sim_time(Histogram& histogram, util::Duration d);
 
 }  // namespace spinscope::telemetry

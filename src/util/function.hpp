@@ -78,9 +78,12 @@ public:
     /// Inline buffer size. Sized for the simulator's hot events: a
     /// netsim::Timer firing (its shared state plus a generation, 3 words)
     /// and a netsim::Link delivery (its link plus an owned pooled buffer,
-    /// 5 words). A MoveFunction itself is kInlineSize + 8 bytes, so a
-    /// closure that wraps another MoveFunction never fits; netsim::Timer
-    /// therefore keeps its callback in its own state instead of the firing.
+    /// 5 words). The simulator parks each queued callback in a slot and
+    /// moves it once, when it is scheduled (heap sifts move keys only), so
+    /// the size costs slot memory per queued event, not a relocation per
+    /// sift. A MoveFunction itself is kInlineSize + 8 bytes, so a closure
+    /// that wraps another MoveFunction never fits; netsim::Timer therefore
+    /// keeps its callback in its own state instead of the firing.
     static constexpr std::size_t kInlineSize = 96;
 
     /// True when a callable of type F is stored inline (no heap allocation).

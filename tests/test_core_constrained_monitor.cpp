@@ -163,7 +163,7 @@ std::vector<std::uint64_t> collision_free_keys(Rng& rng, const ConstrainedMonito
 
 // --- differential equivalence (constraints lifted) --------------------------
 
-TEST(ConstrainedDifferential, UnboundedConfigMatchesFlowMonitorFlowForFlow) {
+TEST(ConstrainedDifferential, UnboundedConfigMatchesReferenceTableFlowForFlow) {
     ConstrainedConfig config;
     config.log2_slots = 18;  // 262144 slots for 64 flows: effectively unbounded
     config.eviction = EvictionPolicy::none;

@@ -12,10 +12,30 @@ namespace {
 
 constexpr std::uint8_t kExp = 3;  // default ack_delay_exponent
 
-std::optional<std::vector<Frame>> round_trip(const Frame& frame) {
+/// An encoded frame and what decoding it gave. Decoded CRYPTO and STREAM
+/// data borrow `wire`, so the two travel together (moving the vector keeps
+/// its buffer, and with it the views).
+struct RoundTrip {
     std::vector<std::uint8_t> wire;
-    encode_frame(wire, frame, kExp);
-    return decode_frames(wire, kExp);
+    std::optional<std::vector<Frame>> frames;
+
+    [[nodiscard]] bool has_value() const { return frames.has_value(); }
+    const std::vector<Frame>* operator->() const { return &*frames; }
+};
+
+RoundTrip round_trip(const Frame& frame) {
+    RoundTrip out;
+    encode_frame(out.wire, frame, kExp);
+    out.frames = decode_frames(out.wire, kExp);
+    return out;
+}
+
+std::vector<std::uint8_t> copy_of(bytes::ConstByteSpan data) { return {data.begin(), data.end()}; }
+
+/// True when `view` lies inside `buffer` (a borrowed, not copied, payload).
+bool borrows_from(bytes::ConstByteSpan view, const std::vector<std::uint8_t>& buffer) {
+    return view.data() >= buffer.data() &&
+           view.data() + view.size() <= buffer.data() + buffer.size();
 }
 
 TEST(Frames, PingRoundTrip) {
@@ -93,30 +113,34 @@ TEST(Frames, AckAcknowledgesMembership) {
 }
 
 TEST(Frames, CryptoRoundTrip) {
+    const std::vector<std::uint8_t> payload{0xde, 0xad, 0xbe, 0xef};
     CryptoFrame crypto;
     crypto.offset = 42;
-    crypto.data = {0xde, 0xad, 0xbe, 0xef};
+    crypto.data = payload;
     const auto decoded = round_trip(Frame{crypto});
     const auto& out = std::get<CryptoFrame>(decoded->front());
     EXPECT_EQ(out.offset, 42u);
-    EXPECT_EQ(out.data, crypto.data);
+    EXPECT_EQ(copy_of(out.data), payload);
+    EXPECT_TRUE(borrows_from(out.data, decoded.wire));
 }
 
 TEST(Frames, StreamRoundTripVariants) {
+    const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5};
     for (const std::uint64_t offset : {std::uint64_t{0}, std::uint64_t{5000}}) {
         for (const bool fin : {false, true}) {
             StreamFrame stream;
             stream.stream_id = 4;
             stream.offset = offset;
             stream.fin = fin;
-            stream.data = {1, 2, 3, 4, 5};
+            stream.data = payload;
             const auto decoded = round_trip(Frame{stream});
             ASSERT_TRUE(decoded.has_value());
             const auto& out = std::get<StreamFrame>(decoded->front());
             EXPECT_EQ(out.stream_id, 4u);
             EXPECT_EQ(out.offset, offset);
             EXPECT_EQ(out.fin, fin);
-            EXPECT_EQ(out.data, stream.data);
+            EXPECT_EQ(copy_of(out.data), payload);
+            EXPECT_TRUE(borrows_from(out.data, decoded.wire));
         }
     }
 }
@@ -161,9 +185,10 @@ TEST(Frames, HandshakeDoneRoundTrip) {
 TEST(Frames, MultipleFramesInOnePayload) {
     AckFrame ack;
     ack.ranges.push_back(AckRange{0, 5});
+    const std::vector<std::uint8_t> payload{9, 9};
     StreamFrame stream;
     stream.stream_id = 0;
-    stream.data = {9, 9};
+    stream.data = payload;
     const std::vector<Frame> frames{Frame{ack}, Frame{MaxDataFrame{100}}, Frame{stream}};
     const auto wire = encode_frames(frames, kExp);
     const auto decoded = decode_frames(wire, kExp);
@@ -171,7 +196,10 @@ TEST(Frames, MultipleFramesInOnePayload) {
     ASSERT_EQ(decoded->size(), 3u);
     EXPECT_TRUE(std::holds_alternative<AckFrame>((*decoded)[0]));
     EXPECT_TRUE(std::holds_alternative<MaxDataFrame>((*decoded)[1]));
-    EXPECT_TRUE(std::holds_alternative<StreamFrame>((*decoded)[2]));
+    ASSERT_TRUE(std::holds_alternative<StreamFrame>((*decoded)[2]));
+    const auto& out = std::get<StreamFrame>((*decoded)[2]);
+    EXPECT_EQ(copy_of(out.data), payload);
+    EXPECT_TRUE(borrows_from(out.data, wire));
 }
 
 TEST(Frames, UnknownTypeRejected) {
@@ -181,9 +209,10 @@ TEST(Frames, UnknownTypeRejected) {
 }
 
 TEST(Frames, TruncatedStreamRejected) {
+    const std::vector<std::uint8_t> payload{1, 2, 3, 4};
     StreamFrame stream;
     stream.stream_id = 0;
-    stream.data = {1, 2, 3, 4};
+    stream.data = payload;
     std::vector<std::uint8_t> wire;
     encode_frame(wire, Frame{stream}, kExp);
     wire.pop_back();

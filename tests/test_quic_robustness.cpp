@@ -150,6 +150,24 @@ TEST(Robustness, MalformedFramePayloadDropsPacketOnly) {
 // Tiny helper so the fuzz loop's results are observed.
 void benchmarkish_use(bool) {}
 
+/// True when every CRYPTO and STREAM payload in `frames` lies inside
+/// `input`. Decoding borrows its input, so a view reaching past it would
+/// be an over-read.
+bool views_within(const std::vector<Frame>& frames, bytes::ConstByteSpan input) {
+    const auto inside = [&input](bytes::ConstByteSpan view) {
+        return view.empty() || (view.data() >= input.data() &&
+                                view.data() + view.size() <= input.data() + input.size());
+    };
+    for (const auto& frame : frames) {
+        if (const auto* crypto = std::get_if<CryptoFrame>(&frame)) {
+            if (!inside(crypto->data)) return false;
+        } else if (const auto* stream = std::get_if<StreamFrame>(&frame)) {
+            if (!inside(stream->data)) return false;
+        }
+    }
+    return true;
+}
+
 TEST(Robustness, CodecFuzzNeverCrashes) {
     Rng rng{0xf00d};
     for (int i = 0; i < 20000; ++i) {
@@ -158,7 +176,9 @@ TEST(Robustness, CodecFuzzNeverCrashes) {
         auto packet = decode_packet(bytes, 8, rng.uniform_u64(1000));
         if (packet) {
             auto frames = decode_frames(packet->payload, 3);
-            benchmarkish_use(frames.has_value());
+            if (frames) {
+                EXPECT_TRUE(views_within(*frames, packet->payload));
+            }
         }
         auto view = peek_short_header(bytes);
         benchmarkish_use(view.has_value());
@@ -291,10 +311,11 @@ TEST(Robustness, HostileStreamOffsetIsBoundedNotAllocated) {
     // gigabyte of buffer.
     Pair pair;
     pair.server->on_stream_complete = [&pair](std::uint64_t, std::vector<std::uint8_t>) {
+        static constexpr std::uint8_t kPoison[] = {1, 2, 3};
         StreamFrame poison;
         poison.stream_id = 0;
         poison.offset = 1ULL << 30;
-        poison.data = {1, 2, 3};
+        poison.data = kPoison;
         std::vector<std::uint8_t> payload;
         encode_frame(payload, Frame{poison}, 3);
         pair.server->send_raw_payload(std::move(payload));
@@ -359,12 +380,14 @@ TEST(Robustness, FrameOffsetsNearVarintMaxRejected) {
 
 TEST(Robustness, TruncatedFramesNeverOverread) {
     // Every prefix of a valid multi-frame payload either decodes or fails
-    // cleanly — no crash, no over-read (run under ASan to enforce).
+    // cleanly — no crash, no over-read (run under ASan to enforce; the
+    // borrowed payload views are checked against the prefix directly).
+    const std::vector<std::uint8_t> body(32, 0x5c);
     std::vector<Frame> frames;
     StreamFrame stream;
     stream.stream_id = 4;
     stream.offset = 100;
-    stream.data.assign(32, 0x5c);
+    stream.data = body;
     frames.emplace_back(stream);
     AckFrame ack;
     ack.ranges.push_back({3, 9});
@@ -374,9 +397,14 @@ TEST(Robustness, TruncatedFramesNeverOverread) {
     const auto payload = encode_frames(frames, 3);
     for (std::size_t cut = 0; cut < payload.size(); ++cut) {
         const std::span<const std::uint8_t> prefix{payload.data(), cut};
-        benchmarkish_use(decode_frames(prefix, 3).has_value());
+        const auto decoded = decode_frames(prefix, 3);
+        if (decoded) {
+            EXPECT_TRUE(views_within(*decoded, prefix));
+        }
     }
-    ASSERT_TRUE(decode_frames(payload, 3).has_value());
+    const auto whole = decode_frames(payload, 3);
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_TRUE(views_within(*whole, payload));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "netsim/link.hpp"
 #include "quic/connection.hpp"
+#include "quic/packet.hpp"
 #include "scanner/campaign.hpp"
 #include "util/format.hpp"
 #include "scanner/http3_mini.hpp"
@@ -142,6 +143,112 @@ TEST(Http3Mini, ChunkedResponseRestartsFillerEachChunk) {
     };
     client.connect();
     sim.run_until(util::TimePoint::origin() + util::Duration::seconds(10));
+
+    std::vector<std::uint8_t> expected = headers;
+    for (const std::size_t part : parts) {
+        const auto chunk = reference_body(part);
+        expected.insert(expected.end(), chunk.begin(), chunk.end());
+    }
+    EXPECT_EQ(received, expected);
+}
+
+TEST(Http3Mini, LostStreamDataIsResentFromTheSendBuffer) {
+    // Loss recovery keeps STREAM data by position and re-reads it from the
+    // stream's send buffer. Dropping chosen 1-RTT datagrams of a chunked
+    // response must bring each lost frame back with the same offset, bytes
+    // and FIN, and the body must still arrive as per-chunk filler.
+    const std::vector<std::size_t> parts{1'000, 40, 38'000};
+    netsim::Simulator sim;
+    util::Rng rng{11};
+    netsim::LinkConfig link;
+    link.base_delay = util::Duration::millis(10);
+    netsim::Path path{sim, link, link, rng};
+
+    struct SentStream {
+        std::uint64_t offset = 0;
+        std::vector<std::uint8_t> bytes;
+        bool fin = false;
+    };
+    std::vector<SentStream> sent;     // every response STREAM frame, in send order
+    std::vector<SentStream> dropped;  // the ones the link never saw
+    std::size_t first_sends = 0;
+    const auto server_send = [&](netsim::Datagram dg) {
+        bool drop = false;
+        const auto packet = quic::decode_packet(dg, 8, quic::kInvalidPacketNumber);
+        const auto frames = packet && packet->header.type == quic::PacketType::one_rtt
+                                ? quic::decode_frames(packet->payload, 3)
+                                : std::nullopt;
+        for (const auto& frame : frames.value_or(std::vector<quic::Frame>{})) {
+            const auto* stream = std::get_if<quic::StreamFrame>(&frame);
+            if (stream == nullptr || stream->stream_id != kRequestStream) continue;
+            SentStream record{stream->offset, {stream->data.begin(), stream->data.end()},
+                              stream->fin};
+            const bool resend = std::any_of(sent.begin(), sent.end(), [&](const auto& s) {
+                return s.offset == record.offset;
+            });
+            if (!resend) {
+                ++first_sends;
+                // The 2nd and 9th frames (recovered by packet-threshold loss
+                // detection) and the FIN-bearing tail (recovered by a PTO
+                // probe).
+                drop = first_sends == 2 || first_sends == 9 || record.fin;
+            }
+            if (drop) dropped.push_back(record);
+            sent.push_back(std::move(record));
+        }
+        if (!drop) path.return_link().send(std::move(dg));
+    };
+
+    quic::ConnectionConfig client_cfg;
+    client_cfg.role = quic::Role::client;
+    quic::Connection client{
+        sim, client_cfg, rng.fork(1),
+        [&path](netsim::Datagram dg) { path.forward_link().send(std::move(dg)); }};
+    quic::ConnectionConfig server_cfg;
+    server_cfg.role = quic::Role::server;
+    quic::Connection server{sim, server_cfg, rng.fork(2), server_send};
+    path.forward_link().set_receiver([&](bytes::ConstByteSpan dg) { server.on_datagram(dg); });
+    path.return_link().set_receiver([&](bytes::ConstByteSpan dg) { client.on_datagram(dg); });
+
+    const auto headers = build_response_headers(200, "", "test-stack");
+    server.on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t>) {
+        if (id != kRequestStream) return;
+        server.send_stream(kRequestStream, headers, false);
+        util::Duration at = util::Duration::zero();
+        for (std::size_t i = 0; i < parts.size(); ++i) {
+            at += util::Duration::millis(3);
+            const bool fin = i + 1 == parts.size();
+            sim.schedule_after(at, [&server, part = parts[i], fin] {
+                server.send_stream(kRequestStream, body_view(part), fin);
+            });
+        }
+    };
+    client.on_handshake_complete = [&] {
+        client.send_stream(kRequestStream, build_request("www.example.org"), true);
+    };
+    std::vector<std::uint8_t> received;
+    client.on_stream_complete = [&](std::uint64_t id, std::vector<std::uint8_t> data) {
+        if (id == kRequestStream) received = std::move(data);
+    };
+    client.connect();
+    sim.run_until(util::TimePoint::origin() + util::Duration::seconds(10));
+
+    ASSERT_EQ(dropped.size(), 3u);
+    EXPECT_TRUE(dropped.back().fin);
+    for (const auto& lost : dropped) {
+        const auto first = std::find_if(sent.begin(), sent.end(), [&](const auto& s) {
+            return s.offset == lost.offset;
+        });
+        const auto resent = std::find_if(std::next(first), sent.end(), [&](const auto& s) {
+            return s.offset == lost.offset;
+        });
+        ASSERT_NE(resent, sent.end()) << "offset " << lost.offset << " never resent";
+        EXPECT_EQ(resent->bytes, lost.bytes) << "offset " << lost.offset;
+        EXPECT_EQ(resent->fin, lost.fin) << "offset " << lost.offset;
+    }
+    // Both recovery paths ran: requeued ranges and a probe of the tail.
+    EXPECT_GT(server.counters().packets_lost, 0u);
+    EXPECT_GT(server.counters().pto_fired_total, 0u);
 
     std::vector<std::uint8_t> expected = headers;
     for (const std::size_t part : parts) {

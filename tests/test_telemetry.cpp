@@ -23,6 +23,27 @@ TEST(Counter, AccumulatesAndStartsAtZero) {
     EXPECT_EQ(c.value(), 42u);
 }
 
+TEST(Lazy, CreatesTheInstrumentOnFirstUseOnly) {
+    // A handle that is never used leaves no instrument behind, and its
+    // first use creates exactly what a direct lookup would.
+    MetricsRegistry registry;
+    Lazy<Counter> used{registry, "a.used"};
+    Lazy<Counter> unused{registry, "a.unused"};
+    Lazy<Gauge> gauge{registry, "a.gauge"};
+    Lazy<Histogram> histogram{registry, "a.hist", HistogramSpec{1.0, 2.0, 4}};
+    EXPECT_EQ(registry.size(), 0u);
+    used->add(0);  // add(0) still creates, as registry.counter() would
+    ASSERT_NE(registry.find_counter("a.used"), nullptr);
+    EXPECT_EQ(&*used, &registry.counter("a.used"));
+    EXPECT_EQ(registry.find_counter("a.unused"), nullptr);
+    gauge->set_max(3.0);
+    histogram->record(3.0);
+    EXPECT_DOUBLE_EQ(registry.gauge("a.gauge").value(), 3.0);
+    ASSERT_NE(registry.find_histogram("a.hist"), nullptr);
+    EXPECT_EQ(registry.find_histogram("a.hist")->spec().bucket_count, 4u);
+    EXPECT_EQ(registry.size(), 3u);
+}
+
 TEST(Gauge, SetAndSetMax) {
     Gauge g;
     g.set(5.0);
