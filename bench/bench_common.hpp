@@ -53,19 +53,22 @@ struct Options {
     /// §11); empty disables journaling.
     std::string journal_dir;
     /// Worker processes (--procs=N, DESIGN.md §13): the map pass forks N
-    /// crash-isolated workers over a shared journal, then reduces. 0 = the
-    /// classic single-process run. Byte-identical output for every value.
+    /// crash-isolated workers that publish batch files into a shared
+    /// journal, then Campaign::resume merges it. 0 = the classic
+    /// single-process run. Byte-identical output for every value.
     unsigned procs = 0;
     /// True when --procs had to synthesize journal_dir (no --journal given);
-    /// run_campaign removes the directory after a successful reduce.
+    /// run_campaign removes the directory after a successful resume.
     bool journal_is_temp = false;
     /// Resume from the journal left by a killed run (--resume; requires
-    /// --journal). Output is byte-identical to an uninterrupted run.
+    /// --journal): intact batches are replayed, every other chunk is
+    /// rescanned. Output is byte-identical to an uninterrupted run.
     bool resume = false;
     /// Verify-and-repair the journal before running (--scrub; requires
-    /// --journal, DESIGN.md §16): torn tails are truncated away, corrupt
-    /// records quarantined into <journal>/corrupt/, and the scrub report
-    /// printed. Combine with --resume to pick a damaged campaign back up.
+    /// --journal, DESIGN.md §16): batches failing their checksums are
+    /// quarantined into <journal>/corrupt/, temp files of killed writers
+    /// removed, and the scrub report printed. Combine with --resume to pick
+    /// a damaged campaign back up.
     bool scrub = false;
     /// Flight-recorder output (--trace=FILE, off by default): run_campaign
     /// records the campaign timeline and writes FILE (deterministic sim
@@ -132,7 +135,13 @@ inline Options parse_options(int argc, char** argv, std::uint64_t default_count 
                 "usage: %s [--scale=N] [--scales=A,B,C] [--seed=N] [--count=N] [--csv=prefix] "
                 "[--telemetry=path|off] [--threads=N] [--journal=dir] [--procs=N] "
                 "[--resume] [--scrub] [--trace=file] [--progress[=N]] "
-                "[--trajectory=file]\n",
+                "[--trajectory=file]\n"
+                "  --journal=dir  crash-safe journal: a header plus atomically published\n"
+                "                 batch files of finished chunks\n"
+                "  --procs=N      scan in N crash-isolated worker processes over the journal\n"
+                "  --resume       replay the journal's intact batches, rescan every other chunk\n"
+                "  --scrub        first quarantine batches that fail their checksums into\n"
+                "                 <journal>/corrupt/ and remove temp files of killed writers\n",
                 argv[0]);
             std::exit(0);
         }
@@ -148,7 +157,7 @@ inline Options parse_options(int argc, char** argv, std::uint64_t default_count 
     if (options.procs > 0 && options.journal_dir.empty()) {
         // The multi-process map pass needs a shared journal even when the
         // caller doesn't care about crash recovery; park one in the system
-        // temp directory and clean it up after the reduce.
+        // temp directory and clean it up after the resume.
         const auto dir = std::filesystem::temp_directory_path() /
                          ("spinscope-bench-journal-" +
                           std::to_string(util::current_pid()));
@@ -178,16 +187,16 @@ scanner::CampaignStats run_campaign(const Options& options, scanner::Campaign& c
     scanner::CampaignStats stats;
     if (options.scrub) {
         // Offline verify/repair before touching the journal (DESIGN.md §16):
-        // after this, resume/reduce sees either a clean journal or an
-        // explicit rescan list — never a torn or corrupt record.
+        // after this, resume sees either a clean journal or an explicit
+        // rescan list — never a corrupt batch.
         const scanner::ScrubReport report =
             scanner::scrub_journal(options.journal_dir);
         std::printf("%s", report.render().c_str());
     }
     if (options.procs > 0) {
         // Crash-isolated map pass (DESIGN.md §13): fork N workers over a
-        // shared journal, then reduce it through the caller's sink. --resume
-        // keeps whatever chunks a previous (possibly killed) run journaled.
+        // shared journal, then resume it through the caller's sink. --resume
+        // keeps whatever batches a previous (possibly killed) run published.
         scanner::ProcPoolOptions pool;
         pool.procs = options.procs;
         pool.fresh = !options.resume;
@@ -203,7 +212,7 @@ scanner::CampaignStats run_campaign(const Options& options, scanner::Campaign& c
                     static_cast<unsigned long long>(report.proc_restarts),
                     static_cast<unsigned long long>(report.hang_kills),
                     static_cast<unsigned long long>(report.chunks_quarantined));
-        stats = campaign.reduce(sink);
+        stats = campaign.resume(sink);
         stats.proc_restarts = report.proc_restarts;
         if (options.journal_is_temp) {
             std::error_code ec;

@@ -65,16 +65,21 @@ bench::Trajectory run_at_scale(const bench::Options& options, double scale,
                     "  com/net/org  #Domains 183 047 638 -> 158 891 771 -> 18 415 242 -> 11.1 %%\n"
                     "               #IPs                   9 203 681 ->   242 877 -> 46.4 %%\n");
     }
+    // One stopwatch for the seconds and the rate (as the trajectory has
+    // it): with --procs it spans the map pass and the resume, while
+    // CampaignStats::domains_per_sec() sees only the resume.
+    const double campaign_seconds = campaign_watch.seconds();
     std::printf("\nscale 1:%.0f — scanned %llu domains in %.1f s "
                 "(%.0f domains/sec, QUIC-ok %.1f %%)\n",
-                scale, static_cast<unsigned long long>(scanned),
-                campaign_watch.seconds(), stats.domains_per_sec(),
+                scale, static_cast<unsigned long long>(scanned), campaign_seconds,
+                campaign_seconds > 0.0 ? static_cast<double>(scanned) / campaign_seconds
+                                       : 0.0,
                 stats.quic_ok_rate() * 100.0);
     bench::write_telemetry(options, "table1", registry);
 
-    auto trajectory = bench::measure_trajectory("scale", scanned,
-                                                campaign_watch.seconds(),
-                                                campaign_allocs);
+    auto trajectory =
+        bench::measure_trajectory("scale", scanned, campaign_seconds, campaign_allocs);
+
     trajectory.procs = options.procs;
     trajectory.scale = scale;
     if (const auto* gauge = registry.find_gauge("obs.proc.peak_worker_rss_bytes");

@@ -3,7 +3,8 @@
 // Live campaign progress line for the table/figure harnesses, driven by
 // Campaign::set_progress (merge-thread callbacks, monotonic stats snapshots):
 // completion, scan rate, ETA, resident set, quarantine count and journal
-// durability lag. Written to stderr with carriage-return refresh so piped
+// durability lag (the bytes in the unpublished batch, which a kill would
+// cost a rescan of). Written to stderr with carriage-return refresh so piped
 // stdout (tables, CSV paths) stays clean.
 
 #pragma once

@@ -9,14 +9,15 @@
 #   scripts/ci.sh bench        # perf-trajectory lane: measure BENCH_*.json and
 #                              # fail on regression vs the committed baselines
 #                              # (REGEN=1 scripts/ci.sh bench re-baselines)
-#   scripts/ci.sh chaos        # crash-isolation lane: the multi-process kill
+#   scripts/ci.sh chaos        # crash-recovery lane: the multi-process kill
 #                              # sweep (SIGKILL workers at every lifecycle
-#                              # point), journal/lease and proc-plumbing suites
+#                              # point), the in-process kill/resume sweeps,
+#                              # hostile batch files, leases, proc plumbing
 #   scripts/ci.sh diskchaos    # lying-disk lane: the full storage-fault-plan
 #                              # x injection-point sweep (ENOSPC, EIO, short
-#                              # writes, power loss, bit flips — incl. FaultIo
-#                              # under --procs=2), the storage-seam unit suite
-#                              # and the journal scrub corpus
+#                              # writes, power loss, bit flips — threads
+#                              # {1,2,8} and FaultIo under procs {1,2}), the
+#                              # storage-seam unit suite and the scrub corpus
 #   scripts/ci.sh rss          # out-of-core lane: a mid-scale streaming
 #                              # campaign under a hard RLIMIT_AS ceiling — an
 #                              # accidental O(domains) allocation fails loudly
@@ -61,7 +62,7 @@ run_bench_lane() {
     ./build/bench/bench_packet_path \
         --trajectory="${out}/BENCH_packet_path.json" --trajectory_count=192
     # --procs=2 routes the Table 1 sweep through the multi-process map pass
-    # (fork + shared journal + reduce), so the committed BENCH_scale.json also
+    # (fork + shared journal + resume), so the committed BENCH_scale.json also
     # pins the crash-isolated path's throughput and worker footprint. The
     # --scales sweep spans a 10x domain range; bench_check.py gates both the
     # per-row metrics and the flatness of peak RSS across the rows (the
@@ -88,18 +89,26 @@ run_bench_lane() {
     echo "=== lane bench: OK ==="
 }
 
-# Chaos lane: the crash-isolation suites on their own — the kill sweep
-# (SIGKILL at every worker lifecycle point x {1,2,4} procs, reduced output
-# must stay byte-identical), hang/poison/RSS supervision, journal + lease
-# invariants and the process plumbing underneath. All of this also runs in
-# the default lane's ctest; this lane is the focused, fast repro loop.
+# Chaos lane: the crash-recovery suites on their own, all against the one
+# journal store (header.rec + atomically published chunks-F-L.rec batches)
+# that --threads and --procs share — the procs kill sweep (SIGKILL at every
+# worker lifecycle point x {1,2,4} procs), the in-process kill at every
+# chunk boundary x threads {1,2,8}, hostile batches (torn, misnamed,
+# overlapping), hang/poison/RSS supervision, lease invariants, the
+# kill-and-resume trace timeline, the procs observer golden and the process
+# plumbing underneath. Resumed output must stay byte-identical throughout.
+# All of this also runs in the default lane's ctest; this lane is the
+# focused, fast repro loop.
 run_chaos_lane() {
     echo "=== lane: chaos ==="
     cmake --preset default >/dev/null
     cmake --build --preset default -j "${JOBS}" \
-        --target test_scanner_procpool test_scanner_journal test_util_misc
+        --target test_scanner_procpool test_scanner_journal test_util_misc \
+        test_telemetry_trace test_scanner_parallel
     ./build/tests/test_scanner_procpool
     ./build/tests/test_scanner_journal
+    ./build/tests/test_telemetry_trace
+    ./build/tests/test_scanner_parallel
     ./build/tests/test_util_misc
     echo "=== lane chaos: OK ==="
 }
@@ -107,9 +116,10 @@ run_chaos_lane() {
 # Disk-chaos lane: campaigns on a lying disk (DESIGN.md §16). Runs the
 # storage-seam unit suite, the FULL fault-plan x injection-point sweep
 # (SPINSCOPE_DISKCHAOS_FULL widens the matrix the default ctest lane runs
-# reduced: more write/power-loss ordinals, threads {1,2,8}, procs {1,2}),
-# and the journal scrub corruption corpus. Green means: no fault plan can
-# make a campaign produce silently-wrong output.
+# reduced: more write/power-loss ordinals, threads {1,2,8}, procs {1,2} —
+# both modes writing the same batch-file journal), and the scrub corruption
+# corpus. Green means: no fault plan can make a campaign produce
+# silently-wrong output.
 run_diskchaos_lane() {
     echo "=== lane: diskchaos ==="
     cmake --preset default >/dev/null

@@ -4,10 +4,10 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -57,9 +57,8 @@ void ScanOptions::validate() {
     if (max_attempt_records == 0) {
         throw std::invalid_argument("scanner: ScanOptions.max_attempt_records must be >= 1");
     }
-    if (journal_segment_bytes == 0) {
-        throw std::invalid_argument(
-            "scanner: ScanOptions.journal_segment_bytes must be >= 1");
+    if (journal_batch_bytes == 0) {
+        throw std::invalid_argument("scanner: ScanOptions.journal_batch_bytes must be >= 1");
     }
     retry.validate();
     worker_restart.validate();
@@ -408,6 +407,14 @@ std::vector<std::uint32_t> Campaign::chunk_domain_ids(std::size_t chunk_index) c
 }
 
 ScannedChunk Campaign::scan_chunk(std::size_t chunk_index) const {
+    LiveChunk live = scan_live_chunk(chunk_index);
+    ScannedChunk out;
+    out.scans = std::move(live.scans);
+    if (live.metrics != nullptr) out.telemetry_snapshot = telemetry::snapshot(*live.metrics);
+    return out;
+}
+
+Campaign::LiveChunk Campaign::scan_live_chunk(std::size_t chunk_index) const {
     const ShardPlan plan{model_->domain_count(), options_.chunk_domains};
     if (chunk_index >= plan.chunk_count()) {
         throw std::out_of_range("scanner: scan_chunk index past chunk_count()");
@@ -419,20 +426,28 @@ ScannedChunk Campaign::scan_chunk(std::size_t chunk_index) const {
     const web::DomainBlock block = model_->materialize(
         static_cast<std::uint32_t>(plan.chunk_begin(chunk_index)),
         static_cast<std::uint32_t>(plan.chunk_end(chunk_index)));
-    // Chunk-private registry and pool, exactly as run()'s workers build them:
-    // the snapshot below must be byte-identical to what run() journals for
-    // this chunk, or the reducer's merged telemetry would drift.
-    std::unique_ptr<telemetry::MetricsRegistry> metrics;
+    LiveChunk out;
     std::optional<ScanTelemetry> instruments;
     if (metrics_ != nullptr) {
-        metrics = std::make_unique<telemetry::MetricsRegistry>();
-        instruments.emplace(*metrics);
+        out.metrics = std::make_unique<telemetry::MetricsRegistry>();
+        instruments.emplace(*out.metrics);
     }
+    // Chunk-private datagram pool, same ownership story as the chunk
+    // registry: touched by exactly one worker, so no locking. Datagram
+    // storage recycles across every attempt of the chunk's domains; all
+    // buffers are dead by the time the chunk completes (each attempt's
+    // simulator drains before the next starts), so the pool can die here.
+    // Pool counters depend on chunk geometry, which is why
+    // deterministic_csv excludes the bytes.pool prefix.
     bytes::BufferPool pool;
+    // Event-queue storage, recycled across the chunk's attempts the same
+    // way (DESIGN.md §10.2).
     netsim::QueueStorage queue;
-    ScannedChunk out;
     out.scans.reserve(block.size());
     for (const web::Domain& domain : block.domains) {
+        // Per-domain fault isolation: one pathological target must cost one
+        // scan record, never the sweep. Telemetry may be partially written
+        // for the failed domain; counters stay monotonic either way.
         DomainScan scan;
         try {
             scan = scan_domain_into(domain, instruments ? &*instruments : nullptr, &pool,
@@ -444,10 +459,7 @@ ScannedChunk Campaign::scan_chunk(std::size_t chunk_index) const {
         }
         out.scans.push_back(std::move(scan));
     }
-    if (metrics != nullptr) {
-        pool.publish_metrics(instruments->pool);
-        out.telemetry_snapshot = telemetry::snapshot(*metrics);
-    }
+    if (instruments) pool.publish_metrics(instruments->pool);
     return out;
 }
 
@@ -564,7 +576,7 @@ DomainScan Campaign::scan_domain_into(const web::Domain& domain, ScanTelemetry* 
 
 CampaignStats Campaign::run(
     const std::function<void(const web::Domain&, DomainScan&&)>& sink) const {
-    return run_impl(sink, RunMode::fresh);
+    return run_impl(sink, /*fresh=*/true);
 }
 
 CampaignStats Campaign::resume(
@@ -572,20 +584,11 @@ CampaignStats Campaign::resume(
     if (options_.journal_dir.empty()) {
         throw std::invalid_argument("scanner: resume() requires ScanOptions.journal_dir");
     }
-    return run_impl(sink, RunMode::resume);
-}
-
-CampaignStats Campaign::reduce(
-    const std::function<void(const web::Domain&, DomainScan&&)>& sink) const {
-    if (options_.journal_dir.empty()) {
-        throw std::invalid_argument("scanner: reduce() requires ScanOptions.journal_dir");
-    }
-    return run_impl(sink, RunMode::reduce);
+    return run_impl(sink, /*fresh=*/false);
 }
 
 CampaignStats Campaign::run_impl(
-    const std::function<void(const web::Domain&, DomainScan&&)>& sink,
-    RunMode mode) const {
+    const std::function<void(const web::Domain&, DomainScan&&)>& sink, bool fresh) const {
     CampaignStats stats;
     const auto wall_start = std::chrono::steady_clock::now();
     const auto wall_elapsed = [&wall_start] {
@@ -597,7 +600,6 @@ CampaignStats Campaign::run_impl(
     // the model's closed-form geometry and regenerates single domains on
     // demand, so run_impl's footprint is O(merge window), not O(universe).
     const std::size_t universe = model_->domain_count();
-    const ShardConfig shard{options_.threads, options_.chunk_domains};
     const ShardPlan plan{universe, options_.chunk_domains};
 
     // Whole-sweep host-resource observation: wall time, allocation traffic
@@ -627,14 +629,14 @@ CampaignStats Campaign::run_impl(
 
     // Declared before merge_scan so the progress snapshot can report journal
     // durability; assigned in the journal setup block below.
-    std::unique_ptr<JournalWriter> journal;
+    std::unique_ptr<BatchWriter> journal;
 
     // One chunk's sim-timeline events: a span covering the chunk's total
     // simulated time, instants for retries/watchdog kills/quarantine at the
     // owning domain's offset, and cumulative counter tracks. Shared verbatim
-    // between the live merge path, the quarantine path and journal replay —
-    // the `replayed` arg is ALWAYS present (0 or 1) so a resume trace equals
-    // the uninterrupted one after flipping that single flag.
+    // between the scan, quarantine and replay paths — the `replayed` arg is
+    // ALWAYS present (0 or 1) so a resume trace equals the uninterrupted one
+    // after flipping that single flag.
     const auto trace_chunk = [&](std::size_t chunk_index,
                                  const std::vector<DomainScan>& scans, bool replayed,
                                  bool quarantined) {
@@ -694,9 +696,9 @@ CampaignStats Campaign::run_impl(
                        static_cast<double>(traced_quic_ok));
     };
 
-    // Per-scan merge bookkeeping, shared verbatim between the live merge
-    // path and journal replay: replayed chunks re-drive exactly the counters
-    // an uninterrupted merge would have driven, which is what makes resumed
+    // Per-scan merge bookkeeping, shared verbatim between the scan and
+    // replay paths: replayed chunks re-drive exactly the counters an
+    // uninterrupted merge would have driven, which is what makes resumed
     // output byte-identical.
     const auto merge_scan = [&](std::size_t domain_index, DomainScan&& scan) {
         // Regenerated, not looked up: the sink's Domain is a pure function of
@@ -752,28 +754,21 @@ CampaignStats Campaign::run_impl(
             stats.domains_scanned % progress_every_ == 0) {
             stats.wall_seconds = wall_elapsed();
             if (journal != nullptr) {
-                stats.journal_records_appended = journal->records_appended();
+                stats.journal_records_published = journal->records_published();
                 stats.journal_open_bytes = journal->open_bytes();
             }
             progress_(stats);
         }
     };
 
-    // ---- journal lock, replay (resume/reduce) and writer setup --------------
-    const bool journaling = !options_.journal_dir.empty();
-    CampaignHeader header;
-    header.seed = options_.seed;
-    header.week = options_.week;
-    header.ipv6 = options_.ipv6;
-    header.chunk_domains = options_.chunk_domains;
-    header.domain_count = universe;
-    header.has_telemetry = metrics_ != nullptr;
-
+    // ---- journal lock, header and replay plan -------------------------------
     // Exactly one campaign may write a journal directory at a time: two
-    // writers interleaving appends (or a reduce racing a scan) would corrupt
-    // it. Held until this run returns; a stale lock whose owner died is
-    // broken silently, a live owner makes this run refuse loudly.
+    // writers interleaving batches (or a resume racing a map pass) would
+    // corrupt it. Held until this run returns; a stale lock whose owner died
+    // is broken silently, a live owner makes this run refuse loudly.
+    const bool journaling = !options_.journal_dir.empty();
     util::PidLockFile journal_lock;
+    std::vector<BatchFile> batches;  // replayable, ascending, disjoint
     if (journaling) {
         std::filesystem::create_directories(options_.journal_dir);
         try {
@@ -786,14 +781,197 @@ CampaignStats Campaign::run_impl(
                                      std::to_string(universe) + ") in " +
                                      std::to_string(plan.chunk_count()) + " chunks");
         }
+        // Before any work: a journal that cannot even take its header
+        // refuses loudly rather than running without the durability the
+        // caller asked for.
+        init_journal(options_.journal_dir,
+                     campaign_header(options_, universe, metrics_ != nullptr), fresh,
+                     options_.io);
+        if (!fresh) batches = replayable_batches(options_.journal_dir, plan.chunk_count());
+        journal = std::make_unique<BatchWriter>(options_, options_.journal_batch_bytes);
     }
+    // The work list: every chunk no replayable batch covers, kept as runs
+    // of consecutive chunks so a journal-free sweep holds no per-chunk
+    // state. Work item c is chunk `first + (c - work_begin)` of its run.
+    struct WorkRun {
+        std::size_t first = 0;
+        std::size_t work_begin = 0;
+    };
+    std::vector<WorkRun> runs;
+    std::size_t work_items = 0;
+    {
+        std::size_t next = 0;
+        const auto add_run = [&](std::size_t end) {
+            if (next >= end) return;
+            runs.push_back({next, work_items});
+            work_items += end - next;
+        };
+        for (const BatchFile& batch : batches) {
+            add_run(batch.first);
+            next = batch.last + 1;
+        }
+        add_run(plan.chunk_count());
+    }
+    const auto missing = [&runs](std::size_t c) {
+        const auto run = std::prev(std::upper_bound(
+            runs.begin(), runs.end(), c,
+            [](std::size_t item, const WorkRun& r) { return item < r.work_begin; }));
+        return run->first + (c - run->work_begin);
+    };
+
+    // Journal degrade (DESIGN.md §16): a non-transient storage error must not
+    // kill a sweep whose OUTPUT is still perfectly computable. The open batch
+    // is dropped (published batches stay valid), the cause is attributed
+    // loudly (stats flag + campaign.journal.* telemetry), and scanning
+    // continues journal-free.
+    const auto publish_journal_counters = [&] {
+        stats.journal_records_published = journal->records_published();
+        stats.journal_open_bytes = 0;
+        if (metrics_ != nullptr) {
+            metrics_->counter("campaign.journal.records_published")
+                .add(journal->records_published());
+            metrics_->counter("campaign.journal.batches_published")
+                .add(journal->batches_published());
+        }
+    };
+    const auto degrade_journal = [&](const JournalIoError& e) {
+        journal->abandon();
+        publish_journal_counters();
+        stats.journal_degraded = true;
+        stats.journal_degraded_error = e.what();
+        if (metrics_ != nullptr) {
+            metrics_->counter("campaign.journal.degraded").add(1);
+            metrics_->counter(std::string{"campaign.journal.io_errors."} +
+                              util::to_cstring(e.error_class()))
+                .add(1);
+        }
+        journal.reset();
+        if (trace != nullptr) {
+            trace->instant(TraceClock::wall, wall_merge_lane, "journal degraded",
+                           trace->wall_now_ns(), {TraceArg::str("error", e.what())});
+        }
+    };
+    // Journal FIRST, then merge: a crash in between costs nothing (the chunk
+    // is replayed, or rescanned when its batch never got published), while
+    // the opposite order could emit sink output that a resume then repeats.
+    const auto journal_record = [&](const ChunkRecord& record) {
+        if (journal == nullptr) return;
+        const std::int64_t append_start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
+        try {
+            journal->append(record);
+        } catch (const JournalIoError& e) {
+            degrade_journal(e);
+        }
+        if (trace != nullptr && journal != nullptr) {
+            trace->complete(
+                TraceClock::wall, wall_merge_lane, "journal append", append_start_ns,
+                trace->wall_now_ns() - append_start_ns,
+                {TraceArg::num("chunk", static_cast<std::uint64_t>(record.chunk_index)),
+                 TraceArg::num("open_bytes", journal->open_bytes())});
+        }
+    };
+
+    const auto merge_scanned = [&](std::size_t chunk, LiveChunk&& result,
+                                   std::int64_t scan_done_ns) {
+        const std::int64_t merge_start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
+        if (journal != nullptr) {
+            ChunkRecord record;
+            record.chunk_index = chunk;
+            record.scans = std::move(result.scans);
+            if (result.metrics != nullptr) {
+                record.telemetry_snapshot = telemetry::snapshot(*result.metrics);
+            }
+            journal_record(record);
+            result.scans = std::move(record.scans);
+        }
+        if (trace != nullptr && result.metrics != nullptr) {
+            // Chunk-local efficiency, sampled from the chunk's private
+            // registry before it merges away: datagram-pool hit rate and the
+            // simulator event-queue high-water mark. Read-only probes — the
+            // merged registry must not grow instruments just because a
+            // recorder is attached.
+            const auto* hits = result.metrics->find_counter("bytes.pool.hits");
+            const auto* acquires = result.metrics->find_counter("bytes.pool.acquires");
+            if (hits != nullptr && acquires != nullptr && acquires->value() > 0) {
+                trace->counter(TraceClock::wall, "pool hit rate", trace->wall_now_ns(),
+                               static_cast<double>(hits->value()) /
+                                   static_cast<double>(acquires->value()));
+            }
+            if (const auto* hwm = result.metrics->find_gauge("netsim.sim.queue_depth_hwm");
+                hwm != nullptr && hwm->has_value()) {
+                trace->counter(TraceClock::wall, "event queue hwm", trace->wall_now_ns(),
+                               hwm->value());
+            }
+        }
+        // The chunk registry merges directly; only a journaled record pays
+        // for the snapshot above.
+        if (metrics_ != nullptr && result.metrics != nullptr) {
+            metrics_->merge_from(*result.metrics);
+        }
+        trace_chunk(chunk, result.scans, /*replayed=*/false, /*quarantined=*/false);
+        const std::size_t begin = plan.chunk_begin(chunk);
+        for (std::size_t j = 0; j < result.scans.size(); ++j) {
+            merge_scan(begin + j, std::move(result.scans[j]));
+        }
+        if (trace != nullptr) {
+            const std::int64_t end_ns = trace->wall_now_ns();
+            const double queued_ms =
+                static_cast<double>(merge_start_ns - scan_done_ns) / 1e6;
+            trace->complete(TraceClock::wall, wall_merge_lane, "merge chunk", merge_start_ns,
+                            end_ns - merge_start_ns,
+                            {TraceArg::num("chunk", static_cast<std::uint64_t>(chunk)),
+                             TraceArg::num("queued_ms", queued_ms)});
+            const double elapsed = wall_elapsed();
+            if (elapsed > 0.0) {
+                trace->counter(TraceClock::wall, "domains_per_sec", end_ns,
+                               static_cast<double>(stats.domains_scanned) / elapsed);
+            }
+        }
+    };
+
+    const auto count_quarantine = [&](std::size_t domains) {
+        ++stats.chunks_quarantined;
+        stats.domains_quarantined += domains;
+        if (metrics_ != nullptr) {
+            metrics_->counter("campaign.quarantined_chunks").add(1);
+            metrics_->counter("campaign.quarantined_domains").add(domains);
+        }
+    };
+
+    const auto merge_quarantined = [&](std::size_t chunk, const ChunkFailure& failure) {
+        // The chunk crashed repeatedly even after restarts: give its domains
+        // placeholder error scans and complete the campaign degraded rather
+        // than losing the sweep.
+        ChunkRecord record;
+        record.chunk_index = chunk;
+        record.quarantined = true;
+        record.quarantine_error = failure.error;
+        record.scans.reserve(plan.chunk_end(chunk) - plan.chunk_begin(chunk));
+        for (std::size_t i = plan.chunk_begin(chunk); i < plan.chunk_end(chunk); ++i) {
+            DomainScan scan;
+            scan.domain_id = static_cast<std::uint32_t>(i);
+            scan.error = "chunk quarantined: " + failure.error;
+            record.scans.push_back(std::move(scan));
+        }
+        journal_record(record);
+        count_quarantine(record.scans.size());
+        trace_chunk(chunk, record.scans, /*replayed=*/false, /*quarantined=*/true);
+        if (trace != nullptr) {
+            trace->instant(
+                TraceClock::wall, wall_merge_lane, "quarantine", trace->wall_now_ns(),
+                {TraceArg::num("chunk", static_cast<std::uint64_t>(chunk)),
+                 TraceArg::num("attempts", static_cast<std::uint64_t>(failure.attempts)),
+                 TraceArg::str("error", failure.error)});
+        }
+        const std::size_t begin = plan.chunk_begin(chunk);
+        for (std::size_t j = 0; j < record.scans.size(); ++j) {
+            merge_scan(begin + j, std::move(record.scans[j]));
+        }
+    };
 
     // Re-drives the merge bookkeeping for one journaled chunk record —
     // telemetry, quarantine accounting, trace and per-scan merge — exactly
-    // as the live path would have. Shared by resume (segment journal) and
-    // reduce (map journal): replayed chunks producing the same counters the
-    // uninterrupted merge would have produced is what makes recovered output
-    // byte-identical.
+    // as the scan path would have.
     const auto replay_record = [&](ChunkRecord& record) {
         const std::size_t begin = plan.chunk_begin(record.chunk_index);
         const std::size_t end = plan.chunk_end(record.chunk_index);
@@ -803,7 +981,7 @@ CampaignStats Campaign::run_impl(
                 describe_chunk(plan, record.chunk_index) + ": record holds " +
                 std::to_string(record.scans.size()) + " scans");
         }
-        // Same merge order as the live path: chunk telemetry first, then
+        // Same merge order as the scan path: chunk telemetry first, then
         // per-scan bookkeeping.
         if (metrics_ != nullptr && !record.telemetry_snapshot.empty()) {
             auto parsed = telemetry::parse_snapshot(record.telemetry_snapshot);
@@ -813,15 +991,7 @@ CampaignStats Campaign::run_impl(
             }
             metrics_->merge_from(*parsed);
         }
-        if (record.quarantined) {
-            ++stats.chunks_quarantined;
-            stats.domains_quarantined += record.scans.size();
-            if (metrics_ != nullptr) {
-                metrics_->counter("campaign.quarantined_chunks").add(1);
-                metrics_->counter("campaign.quarantined_domains")
-                    .add(record.scans.size());
-            }
-        }
+        if (record.quarantined) count_quarantine(record.scans.size());
         trace_chunk(record.chunk_index, record.scans, /*replayed=*/true,
                     record.quarantined);
         for (std::size_t j = 0; j < record.scans.size(); ++j) {
@@ -835,527 +1005,79 @@ CampaignStats Campaign::run_impl(
         }
     };
 
-    if (mode == RunMode::reduce) {
-        // ---- multi-process reducer (map-layout journal, DESIGN.md §13) ------
-        // Recorded chunks may be ANY subset — worker processes finish out of
-        // order and die mid-campaign — so the reducer interleaves replays of
-        // recorded chunks with fresh scans of missing ones, keeping merges in
-        // strict ascending chunk order. Chunks it scans are published back
-        // into the map journal BEFORE merging (atomic, idempotent), so a
-        // killed reduce rescans nothing it already published.
-        // Only chunk PRESENCE is loaded eagerly (one byte per chunk): each
-        // recorded chunk's bytes are read when its turn to merge comes and
-        // die with the merge, so the reducer's RSS is bounded by the merge
-        // window — never by how many chunks the workers already published.
-        util::Io& map_io = util::resolve_io(options_.io);
-        init_map_journal(map_io, options_.journal_dir, header, /*wipe=*/false);
-        std::vector<char> recorded(plan.chunk_count(), 0);
-        for (const std::size_t index : list_map_chunks(options_.journal_dir)) {
-            if (index >= plan.chunk_count()) {
-                throw std::invalid_argument(
-                    "scanner: map journal chunk index " + std::to_string(index) +
-                    " is past this campaign's chunk count (" +
-                    std::to_string(plan.chunk_count()) + " chunks over " +
-                    std::to_string(universe) + " domains)");
+    // Replays, in ascending order, every batch that starts below `limit`, one
+    // batch resident at a time. A batch that fails validation was planned as
+    // covered, so no worker scans its chunks: they are rescanned inline on
+    // the merge thread (byte-identical by the purity contract) and journaled
+    // afresh.
+    std::uint64_t records_replayed = 0;
+    std::uint64_t corrupt_batches = 0;
+    std::size_t next_batch = 0;
+    const auto replay_up_to = [&](std::size_t limit) {
+        for (; next_batch < batches.size() && batches[next_batch].first < limit; ++next_batch) {
+            const BatchFile& batch = batches[next_batch];
+            if (auto records = read_batch(batch)) {
+                for (ChunkRecord& record : *records) replay_record(record);
+                records_replayed += records->size();
+                continue;
             }
-            recorded[index] = 1;
-        }
-        std::vector<std::size_t> missing;
-        for (std::size_t c = 0; c < plan.chunk_count(); ++c) {
-            if (recorded[c] == 0) missing.push_back(c);
-        }
-
-        std::uint64_t records_replayed = 0;
-        std::uint64_t corrupt_chunks = 0;
-        // Next global chunk whose replay is still pending; recorded chunks
-        // below a freshly-scanned chunk replay right before it merges.
-        std::size_t replay_cursor = 0;
-        // Storage-retry jitter stream (wall-clock backoff); independent of
-        // every scan-facing RNG, so disk stutter never perturbs the output.
-        util::Rng io_retry_rng{util::derive_stream_seed(options_.seed, 0xd15cULL)};
-        const auto io_backoff = [&](int retry_index) {
-            const Duration delay =
-                options_.journal_retry.backoff_delay(retry_index, io_retry_rng);
-            if (delay.count_nanos() > 0) {
-                std::this_thread::sleep_for(std::chrono::nanoseconds{delay.count_nanos()});
-            }
-        };
-        // Set when a non-transient publish failure disabled the map journal:
-        // merging continues (the sink output stays byte-identical); only
-        // durability is lost, and loudly so.
-        bool map_degraded = false;
-        const auto degrade_map_journal = [&](const std::string& what, int err) {
-            map_degraded = true;
-            stats.journal_degraded = true;
-            stats.journal_degraded_error = what;
-            if (metrics_ != nullptr) {
-                metrics_->counter("campaign.journal.degraded").add(1);
-                metrics_->counter(std::string{"campaign.journal.io_errors."} +
-                                  util::to_cstring(util::classify_io_error(err)))
-                    .add(1);
-            }
-            if (trace != nullptr) {
-                trace->instant(TraceClock::wall, wall_merge_lane, "journal degraded",
-                               trace->wall_now_ns(), {TraceArg::str("error", what)});
-            }
-        };
-        const auto publish_and_merge = [&](ChunkRecord&& record) {
-            if (!map_degraded) {
-                util::IoResult published;
-                for (int attempt = 0;; ++attempt) {
-                    published = write_map_chunk(map_io, options_.journal_dir, record);
-                    if (published) break;
-                    if (util::classify_io_error(published.err) !=
-                            util::IoErrorClass::transient ||
-                        attempt + 1 >= options_.journal_retry.max_attempts) {
-                        break;
-                    }
-                    io_backoff(attempt + 1);
-                }
-                if (published) {
-                    ++stats.journal_records_appended;
-                } else {
-                    degrade_map_journal(
-                        "scanner: cannot publish map chunk record for " +
-                            describe_chunk(plan, record.chunk_index) + " in " +
-                            options_.journal_dir + ": " + published.message(),
-                        published.err);
-                }
-            }
-            if (metrics_ != nullptr && !record.telemetry_snapshot.empty()) {
-                auto parsed = telemetry::parse_snapshot(record.telemetry_snapshot);
-                if (parsed) metrics_->merge_from(*parsed);
-            }
-            trace_chunk(record.chunk_index, record.scans, /*replayed=*/false,
-                        record.quarantined);
-            const std::size_t begin = plan.chunk_begin(record.chunk_index);
-            for (std::size_t j = 0; j < record.scans.size(); ++j) {
-                merge_scan(begin + j, std::move(record.scans[j]));
-            }
-            replay_cursor = record.chunk_index + 1;
-        };
-        const auto replay_up_to = [&](std::size_t limit) {
-            while (replay_cursor < limit) {
-                const std::size_t c = replay_cursor;
-                if (recorded[c] != 0) {
-                    auto record = read_map_chunk(options_.journal_dir, c);
-                    if (record) {
-                        replay_record(*record);
-                        ++records_replayed;
-                    } else {
-                        // Present at the presence scan but unreadable now
-                        // (torn publish of a killed worker): rescan inline on
-                        // the merge thread and republish — byte-identical by
-                        // the purity contract, so the repair is idempotent.
-                        ++corrupt_chunks;
-                        ScannedChunk rescan = scan_chunk(c);
-                        ChunkRecord fresh;
-                        fresh.chunk_index = c;
-                        fresh.scans = std::move(rescan.scans);
-                        fresh.telemetry_snapshot = std::move(rescan.telemetry_snapshot);
-                        publish_and_merge(std::move(fresh));
-                        continue;  // publish_and_merge advanced replay_cursor
-                    }
-                }
-                replay_cursor = c + 1;
-            }
-        };
-
-        // One missing chunk per work item: the campaign chunk is already the
-        // unit of journaling, so the reducer's shard layer must not regroup.
-        const ShardConfig reduce_shard{options_.threads, 1};
-        const ShardPlan missing_plan{missing.size(), 1};
-        // Scanned-chunk ring sized to the shard merge window: backpressure in
-        // run_supervised guarantees at most `window` scanned-but-unmerged
-        // chunks are live, so slot c % window is free by the time chunk
-        // c + window is admitted.
-        const std::size_t window = std::max<std::size_t>(
-            std::min<std::size_t>(reduce_shard.resolved_merge_window(), missing.size()),
-            1);
-        std::vector<ScannedChunk> scanned(window);
-        const auto scan_missing = [&](std::size_t c) {
-            const std::int64_t scan_start_ns =
-                trace != nullptr ? trace->wall_now_ns() : 0;
-            scanned[c % window] = scan_chunk(missing[c]);
-            if (trace != nullptr) {
-                const std::int64_t end_ns = trace->wall_now_ns();
-                trace->complete(
-                    TraceClock::wall, trace->wall_lane_for_current_thread("worker"),
-                    "scan chunk", scan_start_ns, end_ns - scan_start_ns,
-                    {TraceArg::num("chunk", static_cast<std::uint64_t>(missing[c])),
-                     TraceArg::num("domains", static_cast<std::uint64_t>(
-                                                  scanned[c % window].scans.size()))});
-            }
-        };
-        const auto merge_missing = [&](std::size_t c) {
-            const std::size_t g = missing[c];
-            replay_up_to(g);
-            ChunkRecord record;
-            record.chunk_index = g;
-            record.scans = std::move(scanned[c % window].scans);
-            record.telemetry_snapshot = std::move(scanned[c % window].telemetry_snapshot);
-            scanned[c % window] = ScannedChunk{};  // release the slot's storage
-            publish_and_merge(std::move(record));
-        };
-        const auto quarantine_missing = [&](const ChunkFailure& failure) {
-            const std::size_t g = missing[failure.chunk];
-            replay_up_to(g);
-            ChunkRecord record;
-            record.chunk_index = g;
-            record.quarantined = true;
-            record.quarantine_error = failure.error;
-            record.scans.reserve(plan.chunk_end(g) - plan.chunk_begin(g));
-            for (std::size_t i = plan.chunk_begin(g); i < plan.chunk_end(g); ++i) {
-                DomainScan scan;
-                scan.domain_id = static_cast<std::uint32_t>(i);
-                scan.error = "chunk quarantined: " + failure.error;
-                record.scans.push_back(std::move(scan));
-            }
-            ++stats.chunks_quarantined;
-            stats.domains_quarantined += record.scans.size();
-            if (metrics_ != nullptr) {
-                metrics_->counter("campaign.quarantined_chunks").add(1);
-                metrics_->counter("campaign.quarantined_domains")
-                    .add(record.scans.size());
-            }
-            publish_and_merge(std::move(record));
-        };
-
-        SupervisorConfig supervisor;
-        supervisor.restart = options_.worker_restart;
-        supervisor.seed = options_.seed;
-        const SupervisionReport report =
-            run_supervised(reduce_shard, missing_plan, supervisor, scan_missing,
-                           merge_missing, quarantine_missing);
-        replay_up_to(plan.chunk_count());
-        stats.worker_restarts = report.restarts;
-        if (metrics_ != nullptr) {
-            if (report.restarts > 0) {
-                metrics_->counter("campaign.restarted_workers").add(report.restarts);
-            }
-            metrics_->counter("campaign.journal.records_replayed")
-                .add(records_replayed);
-            if (corrupt_chunks > 0) {
-                metrics_->counter("campaign.journal.corrupt_map_chunks")
-                    .add(corrupt_chunks);
+            ++corrupt_batches;
+            for (std::size_t c = batch.first; c <= batch.last; ++c) {
+                LiveChunk rescan = scan_live_chunk(c);
+                merge_scanned(c, std::move(rescan), trace != nullptr ? trace->wall_now_ns() : 0);
             }
         }
-        stats.wall_seconds = wall_elapsed();
-        if (metrics_ != nullptr) {
-            metrics_->gauge("scanner.domains_per_sec").set(stats.domains_per_sec());
-            metrics_->gauge("scanner.quic_ok_rate").set(stats.quic_ok_rate());
-            if (resource_probe) resource_probe->publish(*metrics_);
-            if (trace != nullptr) trace->publish_metrics(*metrics_);
-        }
-        return stats;
-    }
+    };
 
-    std::size_t chunks_replayed = 0;
-    if (journaling) {
-        JournalOptions journal_options;
-        journal_options.segment_bytes = options_.journal_segment_bytes;
-        journal_options.io = options_.io;
-        journal_options.io_retry = options_.journal_retry;
-        journal_options.io_retry_seed = options_.seed;
-        if (mode == RunMode::resume) {
-            // Streaming replay: each journaled chunk is parsed, merged and
-            // dropped in one step — the header is vetted before the first
-            // record so a foreign journal is refused without consuming any.
-            const ReplayStreamResult replayed = replay_journal(
-                options_.journal_dir,
-                [&header](const CampaignHeader& stored) {
-                    if (!(stored == header)) {
-                        throw std::invalid_argument(
-                            "scanner: resume() journal belongs to a different "
-                            "campaign (options or population changed since it was "
-                            "written)");
-                    }
-                },
-                [&replay_record](ChunkRecord&& record) { replay_record(record); });
-            if (replayed.has_header) {
-                chunks_replayed = static_cast<std::size_t>(replayed.chunks_replayed);
-                if (metrics_ != nullptr) {
-                    metrics_->counter("campaign.journal.records_replayed")
-                        .add(chunks_replayed);
-                    if (replayed.torn_bytes_discarded > 0) {
-                        metrics_->counter("campaign.journal.torn_bytes_discarded")
-                            .add(replayed.torn_bytes_discarded);
-                    }
-                }
-            }
-            journal = std::make_unique<JournalWriter>(options_.journal_dir, header,
-                                                      JournalWriter::Mode::attach,
-                                                      journal_options);
-        } else {
-            journal = std::make_unique<JournalWriter>(options_.journal_dir, header,
-                                                      JournalWriter::Mode::fresh,
-                                                      journal_options);
-        }
-    }
-
-    // ---- scan the remaining chunks ------------------------------------------
-    // Chunk indices stay GLOBAL (replayed prefix + local index): the journal,
-    // quarantine notes and chunk-keyed restart streams all name campaign
-    // chunks, not positions within this (possibly partial) run.
-    const std::size_t base_domain =
-        std::min(plan.chunk_begin(chunks_replayed), universe);
-    const ShardPlan rest_plan{universe - base_domain, options_.chunk_domains};
-
+    // ---- scan the missing chunks ---------------------------------------------
+    // One campaign chunk per work item (missing(c) names it).
     // Slot c % window is written by exactly one worker (inside scan(c)) and
     // read by the merge thread only after run_supervised reports the chunk
-    // done. A restarted scan rebuilds and overwrites its slot from scratch.
-    // Rings, not per-chunk vectors: the shard merge window bounds how many
-    // chunks are ever live past the merge frontier, so slot c % window is
-    // free again by the time chunk c + window is admitted — in-flight results
-    // cost O(window), never O(chunk count).
-    struct ChunkResult {
-        std::vector<DomainScan> scans;
-        /// Chunk-private telemetry; null when the campaign has no registry.
-        std::unique_ptr<telemetry::MetricsRegistry> metrics;
-    };
+    // done; a restarted scan overwrites it from scratch. Rings, not
+    // per-chunk vectors: the shard merge window bounds how many chunks are
+    // ever live past the merge frontier, so slot c % window is free again by
+    // the time chunk c + window is admitted — in-flight results cost
+    // O(window), never O(chunk count).
+    const ShardConfig shard{options_.threads, 1};
+    const ShardPlan work{work_items, 1};
     const std::size_t window = std::max<std::size_t>(
-        std::min<std::size_t>(shard.resolved_merge_window(), rest_plan.chunk_count()),
-        1);
-    std::vector<ChunkResult> chunks(window);
-    // Wall-clock instant each chunk's scan finished (same single-writer slot
-    // discipline as `chunks`): the merge span reports its distance to this as
-    // the chunk's time spent queued for merge.
+        std::min<std::size_t>(shard.resolved_merge_window(), work_items), 1);
+    std::vector<LiveChunk> slots(window);
+    // Wall-clock instant each chunk's scan finished (same slot discipline):
+    // the merge span reports its distance to this as time queued for merge.
     std::vector<std::int64_t> scan_done_ns(window, 0);
 
-    const auto scan_chunk = [&](std::size_t c) {
+    const auto scan_missing = [&](std::size_t c) {
         const std::int64_t scan_start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
-        if (options_.chunk_fault_hook) options_.chunk_fault_hook(c + chunks_replayed);
-        // Regenerate exactly this chunk's domains from the model and drop
-        // them with this frame — workers never touch a shared domain span.
-        const web::DomainBlock block = model_->materialize(
-            static_cast<std::uint32_t>(base_domain + rest_plan.chunk_begin(c)),
-            static_cast<std::uint32_t>(base_domain + rest_plan.chunk_end(c)));
-        ChunkResult result;
-        std::optional<ScanTelemetry> instruments;
-        if (metrics_ != nullptr) {
-            result.metrics = std::make_unique<telemetry::MetricsRegistry>();
-            instruments.emplace(*result.metrics);
-        }
-        // Chunk-private datagram pool, same ownership story as the chunk
-        // registry: touched by exactly one worker, so no locking. Datagram
-        // storage recycles across every attempt of the chunk's domains; all
-        // buffers are dead by the time the chunk completes (each attempt's
-        // simulator drains before the next starts), so the pool can die
-        // here. Pool counters depend on chunk geometry, which is why
-        // deterministic_csv excludes the bytes.pool prefix.
-        bytes::BufferPool pool;
-        // Event-queue storage, recycled across the chunk's attempts the same
-        // way (DESIGN.md §10.2).
-        netsim::QueueStorage queue;
-        result.scans.reserve(block.size());
-        for (const web::Domain& domain : block.domains) {
-            // Per-domain fault isolation: one pathological target must cost
-            // one scan record, never the sweep. Telemetry/stats may be
-            // partially written for the failed domain; counters stay
-            // monotonic either way.
-            DomainScan scan;
-            try {
-                scan = scan_domain_into(domain, instruments ? &*instruments : nullptr, &pool,
-                                        &queue);
-            } catch (const std::exception& e) {
-                scan = DomainScan{};
-                scan.domain_id = domain.id;
-                scan.error = e.what();
-            }
-            result.scans.push_back(std::move(scan));
-        }
-        if (instruments) pool.publish_metrics(instruments->pool);
-        chunks[c % window] = std::move(result);
+        slots[c % window] = scan_live_chunk(missing(c));
         if (trace != nullptr) {
             const std::int64_t end_ns = trace->wall_now_ns();
             scan_done_ns[c % window] = end_ns;
             trace->complete(
                 TraceClock::wall, trace->wall_lane_for_current_thread("worker"),
                 "scan chunk", scan_start_ns, end_ns - scan_start_ns,
-                {TraceArg::num("chunk",
-                               static_cast<std::uint64_t>(c + chunks_replayed)),
+                {TraceArg::num("chunk", static_cast<std::uint64_t>(missing(c))),
                  TraceArg::num("domains",
-                               static_cast<std::uint64_t>(rest_plan.chunk_end(c) -
-                                                          rest_plan.chunk_begin(c)))});
+                               static_cast<std::uint64_t>(slots[c % window].scans.size()))});
         }
     };
-
-    // Journal degrade (DESIGN.md §16): a non-transient storage error must not
-    // kill a sweep whose OUTPUT is still perfectly computable. The journal is
-    // shut down — sealing the durable prefix when the tail is clean,
-    // abandoning the .open tail for scrub otherwise — the cause is attributed
-    // loudly (stats flag + campaign.journal.* telemetry), and scanning
-    // continues journal-free. Construction-time failures still throw: before
-    // any work is done, refusing loudly beats running without durability the
-    // caller explicitly asked for.
-    const auto degrade_journal = [&](const JournalIoError& e) {
-        if (journal == nullptr) return;
-        stats.journal_records_appended = journal->records_appended();
-        stats.journal_open_bytes = 0;
-        stats.journal_degraded = true;
-        stats.journal_degraded_error = e.what();
-        if (journal->tail_clean()) {
-            // The failed append rolled back cleanly: everything on disk is
-            // intact records, so best-effort seal the durable prefix.
-            try {
-                journal->close();
-            } catch (const std::exception&) {  // NOLINT(bugprone-empty-catch)
-                journal->abandon();
-            }
-        } else {
-            // The tail may hold a torn frame; leave it .open for scrub.
-            journal->abandon();
-        }
-        if (metrics_ != nullptr) {
-            metrics_->counter("campaign.journal.records_appended")
-                .add(journal->records_appended());
-            metrics_->counter("campaign.journal.segments_sealed")
-                .add(journal->segments_sealed());
-            metrics_->counter("campaign.journal.degraded").add(1);
-            metrics_->counter(std::string{"campaign.journal.io_errors."} +
-                              util::to_cstring(e.error_class()))
-                .add(1);
-        }
-        journal.reset();
-        if (trace != nullptr) {
-            trace->instant(TraceClock::wall, wall_merge_lane, "journal degraded",
-                           trace->wall_now_ns(), {TraceArg::str("error", e.what())});
-        }
+    const auto merge_missing = [&](std::size_t c) {
+        replay_up_to(missing(c));
+        LiveChunk result = std::move(slots[c % window]);
+        slots[c % window] = LiveChunk{};  // release the slot's storage
+        merge_scanned(missing(c), std::move(result), scan_done_ns[c % window]);
     };
-
-    const auto merge_chunk = [&](std::size_t c) {
-        const std::int64_t merge_start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
-        ChunkResult result = std::move(chunks[c % window]);
-        chunks[c % window] = ChunkResult{};  // release the slot's storage
-        // Journal FIRST, then merge: a crash in between costs nothing (the
-        // record is durable; resume re-drives the merge from it), while the
-        // opposite order could emit sink output that a resume then repeats.
-        if (journal != nullptr) {
-            ChunkRecord record;
-            record.chunk_index = c + chunks_replayed;
-            record.scans = std::move(result.scans);
-            if (metrics_ != nullptr && result.metrics != nullptr) {
-                record.telemetry_snapshot = telemetry::snapshot(*result.metrics);
-            }
-            const std::int64_t append_start_ns =
-                trace != nullptr ? trace->wall_now_ns() : 0;
-            try {
-                journal->append_chunk(record);
-            } catch (const JournalIoError& e) {
-                degrade_journal(e);
-            }
-            if (trace != nullptr && journal != nullptr) {
-                trace->complete(
-                    TraceClock::wall, wall_merge_lane, "journal append",
-                    append_start_ns, trace->wall_now_ns() - append_start_ns,
-                    {TraceArg::num("chunk", static_cast<std::uint64_t>(
-                                                record.chunk_index)),
-                     TraceArg::num("open_bytes", journal->open_bytes())});
-            }
-            result.scans = std::move(record.scans);
-        }
-        if (trace != nullptr && result.metrics != nullptr) {
-            // Chunk-local efficiency, sampled from the chunk's private
-            // registry before it merges away: datagram-pool hit rate and the
-            // simulator event-queue high-water mark. Read-only probes — the
-            // merged registry must not grow instruments just because a
-            // recorder is attached.
-            const auto* hits = result.metrics->find_counter("bytes.pool.hits");
-            const auto* acquires = result.metrics->find_counter("bytes.pool.acquires");
-            if (hits != nullptr && acquires != nullptr && acquires->value() > 0) {
-                trace->counter(TraceClock::wall, "pool hit rate",
-                               trace->wall_now_ns(),
-                               static_cast<double>(hits->value()) /
-                                   static_cast<double>(acquires->value()));
-            }
-            if (const auto* hwm =
-                    result.metrics->find_gauge("netsim.sim.queue_depth_hwm");
-                hwm != nullptr && hwm->has_value()) {
-                trace->counter(TraceClock::wall, "event queue hwm",
-                               trace->wall_now_ns(), hwm->value());
-            }
-        }
-        if (metrics_ != nullptr && result.metrics != nullptr) {
-            metrics_->merge_from(*result.metrics);
-        }
-        trace_chunk(c + chunks_replayed, result.scans, /*replayed=*/false,
-                    /*quarantined=*/false);
-        for (std::size_t j = 0; j < result.scans.size(); ++j) {
-            merge_scan(base_domain + rest_plan.chunk_begin(c) + j,
-                       std::move(result.scans[j]));
-        }
-        if (trace != nullptr) {
-            const std::int64_t end_ns = trace->wall_now_ns();
-            const double queued_ms =
-                static_cast<double>(merge_start_ns - scan_done_ns[c % window]) / 1e6;
-            trace->complete(TraceClock::wall, wall_merge_lane, "merge chunk",
-                            merge_start_ns, end_ns - merge_start_ns,
-                            {TraceArg::num("chunk", static_cast<std::uint64_t>(
-                                                        c + chunks_replayed)),
-                             TraceArg::num("queued_ms", queued_ms)});
-            const double elapsed = wall_elapsed();
-            if (elapsed > 0.0) {
-                trace->counter(TraceClock::wall, "domains_per_sec", end_ns,
-                               static_cast<double>(stats.domains_scanned) / elapsed);
-            }
-        }
-    };
-
-    const auto quarantine_chunk = [&](const ChunkFailure& failure) {
-        // The chunk crashed repeatedly even after restarts: give its domains
-        // placeholder error scans and complete the campaign degraded rather
-        // than losing the sweep.
-        const std::size_t begin = base_domain + rest_plan.chunk_begin(failure.chunk);
-        const std::size_t end = base_domain + rest_plan.chunk_end(failure.chunk);
-        std::vector<DomainScan> placeholders;
-        placeholders.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-            DomainScan scan;
-            scan.domain_id = static_cast<std::uint32_t>(i);
-            scan.error = "chunk quarantined: " + failure.error;
-            placeholders.push_back(std::move(scan));
-        }
-        if (journal != nullptr) {
-            ChunkRecord record;
-            record.chunk_index = failure.chunk + chunks_replayed;
-            record.quarantined = true;
-            record.quarantine_error = failure.error;
-            record.scans = std::move(placeholders);
-            try {
-                journal->append_chunk(record);
-            } catch (const JournalIoError& e) {
-                degrade_journal(e);
-            }
-            placeholders = std::move(record.scans);
-        }
-        ++stats.chunks_quarantined;
-        stats.domains_quarantined += end - begin;
-        if (metrics_ != nullptr) {
-            metrics_->counter("campaign.quarantined_chunks").add(1);
-            metrics_->counter("campaign.quarantined_domains").add(end - begin);
-        }
-        trace_chunk(failure.chunk + chunks_replayed, placeholders, /*replayed=*/false,
-                    /*quarantined=*/true);
-        if (trace != nullptr) {
-            trace->instant(
-                TraceClock::wall, wall_merge_lane, "quarantine", trace->wall_now_ns(),
-                {TraceArg::num("chunk",
-                               static_cast<std::uint64_t>(failure.chunk +
-                                                          chunks_replayed)),
-                 TraceArg::num("attempts", static_cast<std::uint64_t>(failure.attempts)),
-                 TraceArg::str("error", failure.error)});
-        }
-        for (std::size_t j = 0; j < placeholders.size(); ++j) {
-            merge_scan(begin + j, std::move(placeholders[j]));
-        }
+    const auto quarantine_missing = [&](const ChunkFailure& failure) {
+        replay_up_to(missing(failure.chunk));
+        merge_quarantined(missing(failure.chunk), failure);
     };
 
     SupervisorConfig supervisor;
     supervisor.restart = options_.worker_restart;
     supervisor.seed = options_.seed;
-    const SupervisionReport report =
-        run_supervised(shard, rest_plan, supervisor, scan_chunk, merge_chunk,
-                       quarantine_chunk);
+    const SupervisionReport report = run_supervised(shard, work, supervisor, scan_missing,
+                                                    merge_missing, quarantine_missing);
+    replay_up_to(plan.chunk_count());
     stats.worker_restarts = report.restarts;
     // restarted_workers = thread-level scan re-executions (run_supervised);
     // its sibling campaign.restarted_procs counts worker PROCESS re-forks
@@ -1367,19 +1089,16 @@ CampaignStats Campaign::run_impl(
 
     if (journal != nullptr) {
         try {
-            journal->close();
+            journal->publish();
+            publish_journal_counters();
         } catch (const JournalIoError& e) {
-            degrade_journal(e);  // resets `journal`
+            degrade_journal(e);
         }
     }
-    if (journal != nullptr) {
-        stats.journal_records_appended = journal->records_appended();
-        stats.journal_open_bytes = 0;  // everything sealed and durable
-        if (metrics_ != nullptr) {
-            metrics_->counter("campaign.journal.records_appended")
-                .add(journal->records_appended());
-            metrics_->counter("campaign.journal.segments_sealed")
-                .add(journal->segments_sealed());
+    if (journaling && !fresh && metrics_ != nullptr) {
+        metrics_->counter("campaign.journal.records_replayed").add(records_replayed);
+        if (corrupt_batches > 0) {
+            metrics_->counter("campaign.journal.corrupt_batches").add(corrupt_batches);
         }
     }
 

@@ -85,12 +85,14 @@ struct ScanOptions {
     /// journaling. run() starts a FRESH journal here (removing a previous
     /// one); resume() replays it and continues.
     std::string journal_dir;
-    /// Journal segment rotation threshold, in bytes.
-    std::size_t journal_segment_bytes = 4u << 20;
-    /// Storage seam for every journal write (DESIGN.md §16): segment
-    /// appends/seals, map-layout publishes, leases, locks. nullptr means the
-    /// real disk; tests inject faults::FaultIo. Not owned; must be
-    /// thread-safe and outlive the campaign run.
+    /// The in-process merge thread publishes its open batch file once the
+    /// batch holds this many bytes; a SIGKILL loses at most this much
+    /// finished work (it is rescanned on resume).
+    std::size_t journal_batch_bytes = 4u << 20;
+    /// Storage seam for every journal write (DESIGN.md §16): batch
+    /// publishes, the header, leases. nullptr means the real disk; tests
+    /// inject faults::FaultIo. Not owned; must be thread-safe and outlive
+    /// the campaign run.
     util::Io* io = nullptr;
     /// Retry schedule for TRANSIENT journal storage errors (wall-clock
     /// backoff; see util::classify_io_error). Non-transient failures degrade
@@ -190,20 +192,21 @@ struct CampaignStats {
     std::uint64_t worker_restarts = 0;
     /// Worker PROCESS re-forks performed by the multi-process supervisor
     /// (scanner::run_procs). Always 0 for in-process runs; stitched in by
-    /// the caller after a run_procs + reduce pair (reduce itself cannot
+    /// the caller after a run_procs + resume pair (resume itself cannot
     /// observe process deaths — they happened in an earlier pass).
     std::uint64_t proc_restarts = 0;
-    /// Journal records appended by this run so far (0 without journaling).
-    std::uint64_t journal_records_appended = 0;
-    /// Bytes sitting in the journal's active (unsealed) segment — the
-    /// durability lag a progress reporter surfaces. Resets at every segment
-    /// seal (NOT monotonic); 0 in the final stats (everything sealed).
+    /// Chunk records this run published in journal batches so far (0
+    /// without journaling).
+    std::uint64_t journal_records_published = 0;
+    /// Bytes in the unpublished batch — the durability lag a progress
+    /// reporter surfaces. Resets at every publish (NOT monotonic); 0 in the
+    /// final stats (everything published).
     std::uint64_t journal_open_bytes = 0;
     /// The journal hit a non-transient storage error mid-sweep and was shut
-    /// down (durable prefix sealed where possible) while scanning continued —
-    /// the sweep's OUTPUT is complete and correct, but the journal on disk
-    /// is only a prefix and the campaign is not resumable past it. Also
-    /// surfaced as `campaign.journal.degraded` telemetry.
+    /// down (its unpublished batch dropped) while scanning continued — the
+    /// sweep's OUTPUT is complete and correct, but the journal on disk holds
+    /// only the batches published before the error, so a resume rescans the
+    /// rest. Also surfaced as `campaign.journal.degraded` telemetry.
     bool journal_degraded = false;
     /// The attributed cause of the degrade (empty when not degraded).
     std::string journal_degraded_error;
@@ -236,8 +239,8 @@ struct CampaignStats {
 /// One chunk's worth of scan output in journal-ready form: the scans of the
 /// chunk's domains in domain-id order plus the chunk-private telemetry
 /// snapshot (empty when the campaign has no registry attached). This is what
-/// a multi-process worker publishes as one map-journal record
-/// (scanner::run_procs) and what Campaign::reduce folds back together.
+/// a multi-process worker journals as one chunk record (scanner::run_procs)
+/// and what Campaign::resume folds back together.
 struct ScannedChunk {
     std::vector<DomainScan> scans;
     std::string telemetry_snapshot;
@@ -325,7 +328,9 @@ public:
 
     /// Scans every domain, streaming results to `sink` in domain-id order
     /// (traces are large; aggregate, then drop them). Returns the sweep's
-    /// aggregate stats.
+    /// aggregate stats. Equivalent to resume() over a wiped journal
+    /// directory — or, without ScanOptions::journal_dir, over nothing
+    /// recorded.
     ///
     /// Sharded execution: domains are chunked (ScanOptions::chunk_domains)
     /// and scanned by ScanOptions::threads workers, each attempt on its own
@@ -336,33 +341,19 @@ public:
     /// time, not per domain.
     CampaignStats run(const std::function<void(const web::Domain&, DomainScan&&)>& sink) const;
 
-    /// Crash recovery: replays the journal at ScanOptions::journal_dir (the
-    /// one a killed run() left behind), re-driving stats, telemetry, sink
-    /// and progress from the journaled records, then scans only the
-    /// remaining chunks — continuing the journal. The merged output (sink
+    /// The one recovery path, for journals of killed run()s and of --procs
+    /// map passes (scanner::run_procs) alike: replays every intact batch at
+    /// ScanOptions::journal_dir in ascending chunk order — re-driving stats,
+    /// telemetry, sink and progress from the records — and scans the chunks
+    /// no intact batch covers with ScanOptions::threads workers, publishing
+    /// them in new batches before merging them. The merged output (sink
     /// stream, stats, deterministic telemetry) is byte-identical to an
-    /// uninterrupted run(). Torn journal tails are detected, discarded and
-    /// repaired; an empty or missing journal degenerates to run(). Throws
-    /// std::invalid_argument when journal_dir is empty or the journal
-    /// belongs to a different campaign (options/population mismatch).
+    /// uninterrupted run(). An empty or missing journal degenerates to run().
+    /// Holds the journal.lock for the duration; throws std::invalid_argument
+    /// when journal_dir is empty or its header is unreadable or belongs to a
+    /// different campaign, std::runtime_error when the directory is locked
+    /// by a live campaign.
     CampaignStats resume(
-        const std::function<void(const web::Domain&, DomainScan&&)>& sink) const;
-
-    /// Multi-process reducer: folds the MAP-layout journal at
-    /// ScanOptions::journal_dir (the per-chunk record files N worker
-    /// processes published, see scanner::run_procs) into one merged result —
-    /// replaying recorded chunks and scanning any missing ones in strict
-    /// ascending chunk order through the exact merge bookkeeping run() uses,
-    /// so the sink stream, stats and deterministic telemetry are
-    /// byte-identical to an uninterrupted single-process run(). Chunks it
-    /// scans itself are published back into the map journal first
-    /// (journal-before-merge, idempotent), so a killed reduce is rerunnable.
-    /// An empty or headerless directory degenerates to a full scan that
-    /// builds the map journal. Holds the journal.lock for the duration;
-    /// throws std::invalid_argument when journal_dir is empty or the journal
-    /// belongs to a different campaign, std::runtime_error when the
-    /// directory is locked by a live campaign.
-    CampaignStats reduce(
         const std::function<void(const web::Domain&, DomainScan&&)>& sink) const;
 
     [[nodiscard]] const ScanOptions& options() const noexcept { return options_; }
@@ -435,15 +426,20 @@ private:
                                              netsim::QueueStorage* queue,
                                              core::ConstrainedMonitor* observer) const;
 
-    /// How run_impl interacts with ScanOptions::journal_dir.
-    enum class RunMode {
-        fresh,   ///< run(): fresh segment journal (when journaling at all)
-        resume,  ///< resume(): replay + continue the segment journal
-        reduce,  ///< reduce(): replay + complete the map-layout journal
+    /// A scanned chunk whose telemetry is still a live registry (null when
+    /// no registry is attached): what the merge thread folds in directly,
+    /// with no snapshot round trip unless the chunk is journaled.
+    struct LiveChunk {
+        std::vector<DomainScan> scans;
+        std::unique_ptr<telemetry::MetricsRegistry> metrics;
     };
 
+    /// scan_chunk() before the telemetry snapshot.
+    [[nodiscard]] LiveChunk scan_live_chunk(std::size_t chunk_index) const;
+
+    /// resume(), over a wiped journal directory when `fresh`.
     CampaignStats run_impl(const std::function<void(const web::Domain&, DomainScan&&)>& sink,
-                           RunMode mode) const;
+                           bool fresh) const;
 
     const web::PopulationModel* model_;
     ScanOptions options_;

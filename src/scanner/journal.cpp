@@ -1,42 +1,25 @@
 #include "scanner/journal.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
+#include "scanner/shard.hpp"
 #include "util/atomic_file.hpp"
 #include "util/checksum.hpp"
+#include "util/proc.hpp"
 
 namespace spinscope::scanner {
 
 namespace {
 
-constexpr const char* kSegmentPrefix = "segment-";
-constexpr const char* kSegmentSuffix = ".jsonl";
-constexpr const char* kOpenSuffix = ".open";
 constexpr std::string_view kFrameMarker = "#rec ";
-
-[[nodiscard]] std::filesystem::path sealed_path(const std::filesystem::path& dir,
-                                                std::size_t index) {
-    char name[48];
-    std::snprintf(name, sizeof name, "%s%05zu%s", kSegmentPrefix, index, kSegmentSuffix);
-    return dir / name;
-}
-
-[[nodiscard]] std::filesystem::path open_path(const std::filesystem::path& dir,
-                                              std::size_t index) {
-    std::filesystem::path path = sealed_path(dir, index);
-    path += kOpenSuffix;
-    return path;
-}
 
 // ---------------------------------------------------------------------------
 // Token encoding: journal scalar strings (error messages, response headers)
@@ -448,384 +431,12 @@ struct Frame {
     return frame;
 }
 
-struct SegmentFile {
-    std::size_t index = 0;
-    std::filesystem::path path;
-    bool open = false;
-};
-
-[[nodiscard]] std::vector<SegmentFile> list_segments(const std::filesystem::path& dir) {
-    std::vector<SegmentFile> out;
-    if (!std::filesystem::is_directory(dir)) return out;
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-        if (!entry.is_regular_file()) continue;
-        const auto name = entry.path().filename().string();
-        if (name.rfind(kSegmentPrefix, 0) != 0) continue;
-        SegmentFile seg;
-        seg.path = entry.path();
-        std::string_view rest = std::string_view{name}.substr(std::strlen(kSegmentPrefix));
-        if (rest.ends_with(kOpenSuffix)) {
-            seg.open = true;
-            rest.remove_suffix(std::strlen(kOpenSuffix));
-        }
-        if (!rest.ends_with(kSegmentSuffix)) continue;
-        rest.remove_suffix(std::strlen(kSegmentSuffix));
-        std::uint64_t index = 0;
-        if (!parse_number(rest, index)) continue;
-        seg.index = static_cast<std::size_t>(index);
-        out.push_back(std::move(seg));
-    }
-    std::sort(out.begin(), out.end(), [](const SegmentFile& a, const SegmentFile& b) {
-        // Sealed before open at the same index (sealed is the later, durable
-        // state; a leftover open twin is a crash artifact to ignore).
-        return a.index != b.index ? a.index < b.index : !a.open && b.open;
-    });
-    out.erase(std::unique(out.begin(), out.end(),
-                          [](const SegmentFile& a, const SegmentFile& b) {
-                              return a.index == b.index;
-                          }),
-              out.end());
-    return out;
-}
-
 [[nodiscard]] std::string read_whole_file(const std::filesystem::path& path) {
     std::ifstream in{path, std::ios::binary};
     std::string content;
     if (!in) return content;
     content.assign(std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{});
     return content;
-}
-
-/// Shared record walk for replay_journal and JournalWriter attach: parses
-/// intact records, streams each chunk to `on_chunk` (when set), and reports
-/// where (if anywhere) the journal tears. Only one segment's bytes plus one
-/// parsed record are resident at a time — the walk itself is fixed-RSS no
-/// matter how long the journal is.
-struct Walk {
-    ReplayStreamResult replay;
-    bool torn = false;
-    std::size_t tear_segment = 0;  ///< index into `segments` when torn
-    std::uint64_t tear_offset = 0;
-    std::vector<SegmentFile> segments;
-};
-
-[[nodiscard]] Walk walk_journal(const std::filesystem::path& dir,
-                                const std::function<void(const CampaignHeader&)>& on_header,
-                                const std::function<void(ChunkRecord&&)>& on_chunk) {
-    Walk walk;
-    walk.segments = list_segments(dir);
-    bool expect_header = true;
-    for (std::size_t s = 0; s < walk.segments.size(); ++s) {
-        const std::string content = read_whole_file(walk.segments[s].path);
-        std::size_t pos = 0;
-        while (pos < content.size()) {
-            const auto frame = next_frame(content, pos);
-            bool ok = frame.has_value();
-            if (ok) {
-                if (expect_header) {
-                    const auto header = parse_header(frame->payload);
-                    if (header) {
-                        walk.replay.header = *header;
-                        walk.replay.has_header = true;
-                        expect_header = false;
-                        if (on_header) on_header(walk.replay.header);
-                    } else {
-                        ok = false;
-                    }
-                } else {
-                    auto record = parse_chunk_record(frame->payload);
-                    // Appends happen in ascending chunk order on the merge
-                    // thread; anything else is corruption.
-                    if (record && record->chunk_index == walk.replay.chunks_replayed) {
-                        ++walk.replay.chunks_replayed;
-                        if (on_chunk) on_chunk(std::move(*record));
-                    } else {
-                        ok = false;
-                    }
-                }
-            }
-            if (!ok) {
-                walk.torn = true;
-                walk.tear_segment = s;
-                walk.tear_offset = pos;
-                walk.replay.torn_bytes_discarded += content.size() - pos;
-                for (std::size_t later = s + 1; later < walk.segments.size(); ++later) {
-                    walk.replay.torn_bytes_discarded +=
-                        std::filesystem::file_size(walk.segments[later].path);
-                }
-                return walk;
-            }
-            pos = frame->end;
-        }
-    }
-    return walk;
-}
-
-}  // namespace
-
-ReplayResult replay_journal(const std::filesystem::path& dir) {
-    ReplayResult out;
-    const Walk walk = walk_journal(
-        dir, nullptr,
-        [&out](ChunkRecord&& record) { out.chunks.push_back(std::move(record)); });
-    out.has_header = walk.replay.has_header;
-    out.header = walk.replay.header;
-    out.torn_bytes_discarded = walk.replay.torn_bytes_discarded;
-    return out;
-}
-
-ReplayStreamResult replay_journal(const std::filesystem::path& dir,
-                                  const std::function<void(const CampaignHeader&)>& on_header,
-                                  const std::function<void(ChunkRecord&&)>& on_chunk) {
-    return walk_journal(dir, on_header, on_chunk).replay;
-}
-
-// ---------------------------------------------------------------------------
-// JournalWriter
-
-namespace {
-
-/// Wall-clock backoff between storage retries. Unlike scan retries (which run
-/// in simulated time), the disk is a real resource: giving it a millisecond
-/// is the whole point.
-void sleep_backoff(const faults::RetryPolicy& policy, int retry_index, util::Rng& rng) {
-    const util::Duration delay = policy.backoff_delay(retry_index, rng);
-    if (delay.count_nanos() > 0) {
-        std::this_thread::sleep_for(std::chrono::nanoseconds{delay.count_nanos()});
-    }
-}
-
-[[noreturn]] void throw_io(const std::string& what, util::IoResult result) {
-    throw JournalIoError{what + ": " + result.message(), result};
-}
-
-}  // namespace
-
-JournalWriter::JournalWriter(std::filesystem::path dir, const CampaignHeader& header,
-                             Mode mode, JournalOptions options)
-    : dir_{std::move(dir)},
-      options_{options},
-      io_{&util::resolve_io(options.io)},
-      retry_rng_{util::derive_stream_seed(options.io_retry_seed, 0xd15cULL)} {
-    if (options_.segment_bytes == 0) {
-        throw std::invalid_argument("journal: segment_bytes must be >= 1");
-    }
-    options_.io_retry.validate();
-    std::filesystem::create_directories(dir_);
-
-    const auto remove_or_throw = [&](const std::filesystem::path& path) {
-        const util::IoResult removed = io_->remove(path);
-        if (!removed) {
-            throw_io("journal: cannot remove stale segment " + path.string(), removed);
-        }
-    };
-
-    const auto start_fresh = [&] {
-        for (const auto& seg : list_segments(dir_)) remove_or_throw(seg.path);
-        // A leftover open twin of a sealed segment is dropped by
-        // list_segments' dedup; sweep it explicitly too.
-        for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-            const auto name = entry.path().filename().string();
-            if (name.rfind(kSegmentPrefix, 0) == 0) remove_or_throw(entry.path());
-        }
-        open_segment(0, /*truncate=*/true);
-        append_record(serialize_header(header));
-    };
-
-    if (mode == Mode::fresh) {
-        start_fresh();
-        return;
-    }
-
-    // Attach only needs the header and the tear point; chunk records are
-    // validated during the walk but not retained (nullptr sinks).
-    const Walk walk = walk_journal(dir_, nullptr, nullptr);
-    if (!walk.replay.has_header) {
-        // Nothing intact (missing, empty, or torn before the first record):
-        // attach degenerates to a fresh journal.
-        start_fresh();
-        return;
-    }
-    if (!(walk.replay.header == header)) {
-        throw std::invalid_argument(
-            "journal: attach header mismatch — this journal belongs to a different "
-            "campaign (seed/week/family/chunking/population differ)");
-    }
-
-    if (walk.torn) {
-        // Atomic tail repair: the intact prefix of the tear segment is
-        // published under the segment's OPEN name via write-temp + rename,
-        // then every later segment (pure torn bytes) is dropped.
-        const SegmentFile& tear = walk.segments[walk.tear_segment];
-        const std::string content = read_whole_file(tear.path);
-        const std::string prefix =
-            content.substr(0, static_cast<std::size_t>(walk.tear_offset));
-        const auto target = open_path(dir_, tear.index);
-        const util::IoResult repaired = util::write_file_atomic(*io_, target, prefix);
-        if (!repaired) {
-            throw_io("journal: cannot repair torn tail in " + dir_.string(), repaired);
-        }
-        if (!tear.open) remove_or_throw(tear.path);
-        for (std::size_t later = walk.tear_segment + 1; later < walk.segments.size();
-             ++later) {
-            remove_or_throw(walk.segments[later].path);
-        }
-        open_segment(tear.index, /*truncate=*/false);
-        current_bytes_ = prefix.size();
-        return;
-    }
-
-    const SegmentFile& last = walk.segments.back();
-    if (last.open) {
-        open_segment(last.index, /*truncate=*/false);
-        current_bytes_ = static_cast<std::size_t>(std::filesystem::file_size(last.path));
-    } else {
-        open_segment(last.index + 1, /*truncate=*/true);
-    }
-}
-
-JournalWriter::~JournalWriter() {
-    try {
-        close();
-    } catch (...) {  // NOLINT(bugprone-empty-catch)
-        close_fd();
-    }
-}
-
-void JournalWriter::close_fd() noexcept {
-    if (fd_ != util::Io::kBadFile) {
-        (void)io_->close(fd_);
-        fd_ = util::Io::kBadFile;
-    }
-}
-
-void JournalWriter::open_segment(std::size_t index, bool truncate) {
-    // Segments are always opened in append mode: O_APPEND writes land at
-    // end-of-file even after a rollback ftruncate, so a retried record can
-    // never leave a hole. "Truncate" is remove + reopen, which needs no
-    // extra seam primitive.
-    if (truncate) {
-        const util::IoResult removed = io_->remove(open_path(dir_, index));
-        if (!removed) {
-            failed_ = true;
-            throw_io("journal: cannot reset segment in " + dir_.string(), removed);
-        }
-    }
-    util::IoResult opened;
-    fd_ = io_->open_write(open_path(dir_, index), util::Io::OpenMode::append, opened);
-    if (fd_ == util::Io::kBadFile) {
-        failed_ = true;
-        throw_io("journal: cannot open segment in " + dir_.string(), opened);
-    }
-    segment_index_ = index;
-    current_bytes_ = 0;
-    tail_clean_ = true;
-}
-
-void JournalWriter::seal_current_segment() {
-    if (fd_ == util::Io::kBadFile) return;
-    // An unflushable segment must NEVER be published under its sealed name:
-    // readers treat sealed segments as durable, and after a failed fsync the
-    // bytes on media are anyone's guess. The segment stays .open for scrub.
-    util::IoResult synced;
-    for (int attempt = 0;; ++attempt) {
-        synced = io_->fsync(fd_);
-        if (synced) break;
-        if (util::classify_io_error(synced.err) != util::IoErrorClass::transient ||
-            attempt + 1 >= options_.io_retry.max_attempts) {
-            close_fd();
-            failed_ = true;
-            throw_io("journal: fsync failed sealing segment " +
-                         std::to_string(segment_index_) + " in " + dir_.string(),
-                     synced);
-        }
-        sleep_backoff(options_.io_retry, attempt + 1, retry_rng_);
-    }
-    const util::IoResult closed = io_->close(fd_);
-    fd_ = util::Io::kBadFile;
-    if (!closed) {
-        failed_ = true;
-        throw_io("journal: close failed sealing segment in " + dir_.string(), closed);
-    }
-    const auto from = open_path(dir_, segment_index_);
-    const util::IoResult renamed =
-        util::rename_durable(*io_, from, sealed_path(dir_, segment_index_));
-    if (!renamed) {
-        failed_ = true;
-        throw_io("journal: cannot seal segment in " + dir_.string(), renamed);
-    }
-    ++segments_sealed_;
-}
-
-void JournalWriter::append_record(const std::string& payload) {
-    if (failed_) {
-        throw JournalIoError{"journal: writer in " + dir_.string() +
-                                 " already failed; no further appends",
-                             util::IoResult::failure(EIO)};
-    }
-    if (fd_ == util::Io::kBadFile) open_segment(segment_index_, /*truncate=*/false);
-    const std::string framed = frame_record(payload);
-    // The frame goes out in ONE write, so a fault either loses the whole
-    // record or tears exactly one frame at the tail — never interleaves.
-    for (int attempt = 0;; ++attempt) {
-        const util::IoResult written = io_->write(fd_, framed);
-        if (written) break;
-        // Roll the segment back to the previous record boundary so the tail
-        // never keeps the torn frame this failed append produced.
-        const util::IoResult rolled_back = io_->truncate(fd_, current_bytes_);
-        tail_clean_ = rolled_back.ok();
-        const bool transient =
-            util::classify_io_error(written.err) == util::IoErrorClass::transient;
-        if (!transient || !tail_clean_ ||
-            attempt + 1 >= options_.io_retry.max_attempts) {
-            failed_ = true;
-            throw_io("journal: append failed in " + dir_.string() +
-                         (tail_clean_ ? "" : " (rollback failed too; tail torn)"),
-                     written);
-        }
-        sleep_backoff(options_.io_retry, attempt + 1, retry_rng_);
-    }
-    current_bytes_ += framed.size();
-    ++records_appended_;
-    if (current_bytes_ >= options_.segment_bytes) {
-        seal_current_segment();
-        open_segment(segment_index_ + 1, /*truncate=*/true);
-    }
-}
-
-void JournalWriter::append_chunk(const ChunkRecord& record) {
-    append_record(serialize_chunk_record(record));
-}
-
-void JournalWriter::close() { seal_current_segment(); }
-
-void JournalWriter::abandon() noexcept {
-    close_fd();
-    failed_ = true;
-}
-
-// ---------------------------------------------------------------------------
-// Journal-directory lock
-
-std::filesystem::path journal_lock_path(const std::filesystem::path& dir) {
-    return dir / "journal.lock";
-}
-
-// ---------------------------------------------------------------------------
-// Map-layout journal
-
-namespace {
-
-constexpr const char* kMapHeaderName = "header.rec";
-constexpr const char* kMapChunkPrefix = "chunk-";
-constexpr const char* kMapChunkSuffix = ".rec";
-constexpr const char* kLeaseSuffix = ".lease";
-
-[[nodiscard]] std::filesystem::path map_name(const std::filesystem::path& dir,
-                                             std::size_t index, const char* suffix) {
-    char name[48];
-    std::snprintf(name, sizeof name, "%s%05zu%s", kMapChunkPrefix, index, suffix);
-    return dir / name;
 }
 
 /// Payload of a single-record framed file; nullopt when the file is absent,
@@ -839,126 +450,270 @@ constexpr const char* kLeaseSuffix = ".lease";
     return std::string{frame->payload};
 }
 
-/// True for header.rec, chunk-*.rec and chunk-*.lease filenames.
-[[nodiscard]] bool is_map_file(const std::string& name) {
-    if (name == kMapHeaderName) return true;
-    if (name.rfind(kMapChunkPrefix, 0) != 0) return false;
-    const std::string_view rest = std::string_view{name}.substr(std::strlen(kMapChunkPrefix));
-    return rest.ends_with(kMapChunkSuffix) || rest.ends_with(kLeaseSuffix);
+[[noreturn]] void throw_io(const std::string& what, util::IoResult result) {
+    throw JournalIoError{what + ": " + result.message(), result};
+}
+
+constexpr const char* kHeaderName = "header.rec";
+constexpr std::string_view kBatchPrefix = "chunks-";
+constexpr std::string_view kRecSuffix = ".rec";
+constexpr std::string_view kLeasePrefix = "chunk-";
+constexpr std::string_view kLeaseSuffix = ".lease";
+
+[[nodiscard]] bool is_lease_name(std::string_view name) {
+    return name.starts_with(kLeasePrefix) && name.ends_with(kLeaseSuffix);
+}
+
+/// Temp files in `dir` whose writer is gone: a dead pid, or this process,
+/// which never calls this with a batch open. A live foreign writer's temp
+/// is left alone.
+[[nodiscard]] std::vector<std::filesystem::path> stale_temps(const std::filesystem::path& dir) {
+    std::vector<std::filesystem::path> out;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        const auto owner = util::temp_sibling_owner(entry.path());
+        if (owner && (*owner == util::current_pid() || !util::process_alive(*owner))) {
+            out.push_back(entry.path());
+        }
+    }
+    return out;
+}
+
+void remove_or_throw(util::Io& io, const std::filesystem::path& path) {
+    const util::IoResult removed = io.remove(path);
+    if (!removed) throw_io("journal: cannot remove " + path.string(), removed);
 }
 
 }  // namespace
 
-std::filesystem::path map_header_path(const std::filesystem::path& dir) {
-    return dir / kMapHeaderName;
+CampaignHeader campaign_header(const ScanOptions& options, std::size_t domain_count,
+                               bool has_telemetry) {
+    CampaignHeader header;
+    header.seed = options.seed;
+    header.week = options.week;
+    header.ipv6 = options.ipv6;
+    header.chunk_domains = options.chunk_domains;
+    header.domain_count = domain_count;
+    header.has_telemetry = has_telemetry;
+    return header;
 }
 
-std::filesystem::path map_chunk_path(const std::filesystem::path& dir,
-                                     std::size_t chunk_index) {
-    return map_name(dir, chunk_index, kMapChunkSuffix);
+// ---------------------------------------------------------------------------
+// Directory layout
+
+std::filesystem::path journal_lock_path(const std::filesystem::path& dir) {
+    return dir / "journal.lock";
 }
 
-std::filesystem::path lease_path(const std::filesystem::path& dir,
-                                 std::size_t chunk_index) {
-    return map_name(dir, chunk_index, kLeaseSuffix);
+std::filesystem::path journal_header_path(const std::filesystem::path& dir) {
+    return dir / kHeaderName;
 }
 
-void init_map_journal(util::Io& io, const std::filesystem::path& dir,
-                      const CampaignHeader& header, bool wipe) {
+std::filesystem::path batch_path(const std::filesystem::path& dir, std::size_t first,
+                                 std::size_t last) {
+    char name[64];
+    std::snprintf(name, sizeof name, "chunks-%05zu-%05zu.rec", first, last);
+    return dir / name;
+}
+
+std::filesystem::path lease_path(const std::filesystem::path& dir, std::size_t chunk_index) {
+    char name[48];
+    std::snprintf(name, sizeof name, "chunk-%05zu.lease", chunk_index);
+    return dir / name;
+}
+
+void init_journal(const std::filesystem::path& dir, const CampaignHeader& header, bool wipe,
+                  util::Io* io_seam) {
+    util::Io& io = util::resolve_io(io_seam);
     std::filesystem::create_directories(dir);
     // Persist the directory's own existence: a power cut right after mkdir
     // must not orphan every file published into it.
     (void)util::fsync_dir(io, dir.has_parent_path() ? dir.parent_path()
                                                     : std::filesystem::path{"."});
+    const auto header_file = journal_header_path(dir);
     if (wipe) {
+        std::vector<std::filesystem::path> doomed = stale_temps(dir);
         for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-            if (is_map_file(entry.path().filename().string())) {
-                const util::IoResult removed = io.remove(entry.path());
-                if (!removed) {
-                    throw_io("journal: cannot wipe " + entry.path().string(), removed);
-                }
+            const std::string name = entry.path().filename().string();
+            if (name == kHeaderName || is_lease_name(name) || parse_batch_name(name)) {
+                doomed.push_back(entry.path());
             }
         }
-    } else {
-        const auto existing = read_framed_file(map_header_path(dir));
-        if (existing) {
-            const auto parsed = parse_header(*existing);
-            if (parsed && !(*parsed == header)) {
-                throw std::invalid_argument(
-                    "journal: map header mismatch — this journal belongs to a "
-                    "different campaign (seed/week/family/chunking/population "
-                    "differ)");
-            }
+        for (const auto& path : doomed) remove_or_throw(io, path);
+    } else if (std::filesystem::exists(header_file)) {
+        const auto payload = read_framed_file(header_file);
+        const auto stored = payload ? parse_header(*payload) : std::nullopt;
+        if (!stored) {
+            throw std::invalid_argument("journal: " + header_file.string() +
+                                        " is unreadable; scrub the journal before resuming");
         }
+        if (!(*stored == header)) {
+            throw std::invalid_argument(
+                "journal: header mismatch — this journal belongs to a different campaign "
+                "(seed/week/family/chunking/population differ)");
+        }
+        return;
     }
-    const util::IoResult written = util::write_file_atomic(
-        io, map_header_path(dir), frame_record(serialize_header(header)));
-    if (!written) {
-        throw_io("journal: cannot write map header in " + dir.string(), written);
+    const util::IoResult written =
+        util::write_file_atomic(io, header_file, frame_record(serialize_header(header)));
+    if (!written) throw_io("journal: cannot write header in " + dir.string(), written);
+}
+
+std::optional<BatchFile> parse_batch_name(std::string_view name) {
+    if (!name.starts_with(kBatchPrefix) || !name.ends_with(kRecSuffix)) return std::nullopt;
+    name.remove_prefix(kBatchPrefix.size());
+    name.remove_suffix(kRecSuffix.size());
+    const auto dash = name.find('-');
+    BatchFile batch;
+    if (dash == std::string_view::npos || !parse_number(name.substr(0, dash), batch.first) ||
+        !parse_number(name.substr(dash + 1), batch.last) || batch.first > batch.last) {
+        return std::nullopt;
     }
+    return batch;
 }
 
-void init_map_journal(const std::filesystem::path& dir, const CampaignHeader& header,
-                      bool wipe) {
-    init_map_journal(util::Io::real(), dir, header, wipe);
-}
-
-util::IoResult write_map_chunk(util::Io& io, const std::filesystem::path& dir,
-                               const ChunkRecord& record) {
-    return util::write_file_atomic(io, map_chunk_path(dir, record.chunk_index),
-                                   frame_record(serialize_chunk_record(record)));
-}
-
-bool write_map_chunk(const std::filesystem::path& dir, const ChunkRecord& record) {
-    return write_map_chunk(util::Io::real(), dir, record).ok();
-}
-
-std::optional<ChunkRecord> read_map_chunk(const std::filesystem::path& dir,
-                                          std::size_t chunk_index) {
-    const auto payload = read_framed_file(map_chunk_path(dir, chunk_index));
-    if (!payload) return std::nullopt;
-    auto record = parse_chunk_record(*payload);
-    if (!record || record->chunk_index != chunk_index) return std::nullopt;
-    return record;
-}
-
-std::vector<std::size_t> list_map_chunks(const std::filesystem::path& dir) {
-    std::vector<std::size_t> indices;
-    if (!std::filesystem::is_directory(dir)) return indices;
+std::vector<BatchFile> list_batches(const std::filesystem::path& dir) {
+    std::vector<BatchFile> out;
+    if (!std::filesystem::is_directory(dir)) return out;
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
         if (!entry.is_regular_file()) continue;
-        const auto name = entry.path().filename().string();
-        if (name.rfind(kMapChunkPrefix, 0) != 0) continue;
-        std::string_view rest = std::string_view{name}.substr(std::strlen(kMapChunkPrefix));
-        if (!rest.ends_with(kMapChunkSuffix)) continue;
-        rest.remove_suffix(std::strlen(kMapChunkSuffix));
-        std::uint64_t index = 0;
-        if (!parse_number(rest, index)) continue;
-        indices.push_back(static_cast<std::size_t>(index));
+        if (auto batch = parse_batch_name(entry.path().filename().string())) {
+            batch->path = entry.path();
+            out.push_back(std::move(*batch));
+        }
     }
-    std::sort(indices.begin(), indices.end());
-    indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-    return indices;
+    std::sort(out.begin(), out.end(), [](const BatchFile& a, const BatchFile& b) {
+        return a.first != b.first ? a.first < b.first : a.last > b.last;
+    });
+    return out;
 }
 
-MapReplayResult read_map_journal(const std::filesystem::path& dir) {
-    MapReplayResult out;
-    if (!std::filesystem::is_directory(dir)) return out;
-    if (const auto payload = read_framed_file(map_header_path(dir))) {
-        if (const auto header = parse_header(*payload)) {
-            out.header = *header;
-            out.has_header = true;
-        }
-    }
-    for (const std::size_t index : list_map_chunks(dir)) {
-        auto record = read_map_chunk(dir, index);
-        if (record) {
-            out.chunks.push_back(std::move(*record));
-        } else {
-            ++out.corrupt_chunks;
-        }
+std::vector<BatchFile> replayable_batches(const std::filesystem::path& dir,
+                                          std::size_t chunk_count) {
+    std::vector<BatchFile> out;
+    for (BatchFile& batch : list_batches(dir)) {
+        if (batch.last >= chunk_count) continue;
+        if (!out.empty() && batch.first <= out.back().last) continue;
+        out.push_back(std::move(batch));
     }
     return out;
+}
+
+std::optional<std::vector<ChunkRecord>> read_batch(const BatchFile& batch) {
+    const std::string content = read_whole_file(batch.path);
+    std::vector<ChunkRecord> records;
+    std::size_t pos = 0;
+    while (pos < content.size()) {
+        const auto frame = next_frame(content, pos);
+        if (!frame) return std::nullopt;
+        auto record = parse_chunk_record(frame->payload);
+        if (!record || record->chunk_index != batch.first + records.size()) return std::nullopt;
+        records.push_back(std::move(*record));
+        pos = frame->end;
+    }
+    if (records.size() != batch.chunks()) return std::nullopt;
+    return records;
+}
+
+// ---------------------------------------------------------------------------
+// BatchWriter
+
+BatchWriter::BatchWriter(const ScanOptions& options, std::size_t batch_bytes)
+    : dir_{options.journal_dir},
+      batch_bytes_{batch_bytes},
+      io_{&util::resolve_io(options.io)},
+      retry_{options.journal_retry},
+      // Storage retries never touch any scan-facing RNG, so the determinism
+      // contract (DESIGN.md §9) holds whether or not the disk stutters.
+      retry_rng_{util::derive_stream_seed(options.seed, 0xd15cULL)} {}
+
+BatchWriter::~BatchWriter() { abandon(); }
+
+void BatchWriter::abandon() noexcept {
+    if (fd_ != util::Io::kBadFile) {
+        (void)io_->close(fd_);
+        fd_ = util::Io::kBadFile;
+    }
+    if (!temp_.empty()) {
+        (void)io_->remove(temp_);
+        temp_.clear();
+    }
+    open_bytes_ = 0;
+    open_records_ = 0;
+}
+
+void BatchWriter::retry_or_throw(util::IoResult result, int attempt, const std::string& what) {
+    if (util::classify_io_error(result.err) != util::IoErrorClass::transient ||
+        attempt + 1 >= retry_.max_attempts) {
+        abandon();
+        throw_io("journal: " + what + " in " + dir_.string(), result);
+    }
+    // Wall-clock backoff: unlike scan retries (simulated time), the disk is
+    // a real resource and giving it a millisecond is the whole point.
+    const util::Duration delay = retry_.backoff_delay(attempt + 1, retry_rng_);
+    if (delay.count_nanos() > 0) {
+        std::this_thread::sleep_for(std::chrono::nanoseconds{delay.count_nanos()});
+    }
+}
+
+void BatchWriter::append(const ChunkRecord& record) {
+    if (fd_ != util::Io::kBadFile && record.chunk_index != last_ + 1) publish();
+    if (fd_ == util::Io::kBadFile) {
+        first_ = record.chunk_index;
+        temp_ = util::temp_sibling(batch_path(dir_, first_, first_));
+        // Append mode: after a rollback ftruncate the next write still lands
+        // at end-of-file, so a retried record never leaves a hole.
+        for (int attempt = 0;; ++attempt) {
+            util::IoResult opened;
+            fd_ = io_->open_write(temp_, util::Io::OpenMode::append, opened);
+            if (fd_ != util::Io::kBadFile) break;
+            retry_or_throw(opened, attempt, "cannot open a batch");
+        }
+    }
+    const std::string framed = frame_record(serialize_chunk_record(record));
+    // The frame goes out in ONE write, so a fault either loses the whole
+    // record or tears exactly one frame at the end of the temp file.
+    for (int attempt = 0;; ++attempt) {
+        const util::IoResult written = io_->write(fd_, framed);
+        if (written) break;
+        if (!io_->truncate(fd_, open_bytes_)) {
+            abandon();
+            throw_io("journal: batch write failed (rollback failed too) in " + dir_.string(),
+                     written);
+        }
+        retry_or_throw(written, attempt, "batch write failed");
+    }
+    last_ = record.chunk_index;
+    open_bytes_ += framed.size();
+    ++open_records_;
+    if (open_bytes_ >= batch_bytes_) publish();
+}
+
+void BatchWriter::publish() {
+    if (fd_ == util::Io::kBadFile) return;
+    // A batch that cannot be flushed is never published: after a failed
+    // fsync the bytes on media are anyone's guess.
+    for (int attempt = 0;; ++attempt) {
+        const util::IoResult synced = io_->fsync(fd_);
+        if (synced) break;
+        retry_or_throw(synced, attempt, "fsync failed publishing a batch");
+    }
+    const util::IoResult closed = io_->close(fd_);
+    fd_ = util::Io::kBadFile;
+    if (!closed) {
+        abandon();
+        throw_io("journal: close failed publishing a batch in " + dir_.string(), closed);
+    }
+    const util::IoResult renamed =
+        util::rename_durable(*io_, temp_, batch_path(dir_, first_, last_));
+    if (!renamed) {
+        abandon();
+        throw_io("journal: cannot publish a batch in " + dir_.string(), renamed);
+    }
+    temp_.clear();
+    ++batches_published_;
+    records_published_ += open_records_;
+    open_bytes_ = 0;
+    open_records_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -1031,11 +786,8 @@ bool release_lease(const std::filesystem::path& dir, std::size_t chunk_index,
 
 const char* to_cstring(ScrubDamage damage) noexcept {
     switch (damage) {
-        case ScrubDamage::torn_tail: return "torn_tail";
-        case ScrubDamage::mid_segment_corruption: return "mid_segment_corruption";
         case ScrubDamage::header_corrupt: return "header_corrupt";
-        case ScrubDamage::missing_segment: return "missing_segment";
-        case ScrubDamage::corrupt_map_chunk: return "corrupt_map_chunk";
+        case ScrubDamage::corrupt_batch: return "corrupt_batch";
     }
     return "unknown";
 }
@@ -1044,34 +796,36 @@ std::string ScrubReport::render() const {
     std::string out;
     char line[256];
     std::snprintf(line, sizeof line,
-                  "scrub: %llu segment(s), %llu map record(s) checked; %llu record(s) "
-                  "intact (%llu chunk(s)); %llu byte(s) discarded\n",
-                  static_cast<unsigned long long>(segments_checked),
-                  static_cast<unsigned long long>(map_chunks_checked),
-                  static_cast<unsigned long long>(records_intact),
+                  "scrub: %llu batch(es) checked; %llu chunk(s) intact; %llu byte(s) "
+                  "discarded; %llu stale temp file(s)\n",
+                  static_cast<unsigned long long>(batches_checked),
                   static_cast<unsigned long long>(chunks_intact),
-                  static_cast<unsigned long long>(bytes_discarded));
+                  static_cast<unsigned long long>(bytes_discarded),
+                  static_cast<unsigned long long>(stale_temps));
     out += line;
     if (clean()) {
         out += "scrub: journal is clean\n";
         return out;
     }
     for (const auto& finding : findings) {
-        std::snprintf(line, sizeof line, "scrub: %s in %s @%llu [%s%s]: %s\n",
+        std::snprintf(line, sizeof line, "scrub: %s in %s [%s]: %s\n",
                       to_cstring(finding.damage), finding.file.c_str(),
-                      static_cast<unsigned long long>(finding.offset),
-                      finding.repaired ? "repaired" : "not repaired",
-                      finding.quarantined ? ", quarantined" : "", finding.detail.c_str());
+                      finding.quarantined ? "quarantined" : "not quarantined",
+                      finding.detail.c_str());
         out += line;
     }
-    std::snprintf(line, sizeof line, "scrub: resume rescans from chunk %llu\n",
-                  static_cast<unsigned long long>(resume_from_chunk));
-    out += line;
     if (!chunks_to_rescan.empty()) {
-        out += "scrub: reduce must rescan map chunk(s)";
-        for (const std::size_t index : chunks_to_rescan) {
-            out += ' ';
-            out += std::to_string(index);
+        // A quarantined batch costs a run of chunks: print runs as first-last.
+        out += "scrub: resume rescans chunk(s)";
+        for (std::size_t i = 0; i < chunks_to_rescan.size();) {
+            std::size_t j = i;
+            while (j + 1 < chunks_to_rescan.size() &&
+                   chunks_to_rescan[j + 1] == chunks_to_rescan[j] + 1) {
+                ++j;
+            }
+            out += ' ' + std::to_string(chunks_to_rescan[i]);
+            if (j > i) out += '-' + std::to_string(chunks_to_rescan[j]);
+            i = j + 1;
         }
         out += '\n';
     }
@@ -1081,12 +835,10 @@ std::string ScrubReport::render() const {
 std::string ScrubReport::machine_report() const {
     std::string out = "scrub";
     append_kv(out, "header", has_header ? 1 : 0);
-    append_kv(out, "segments", segments_checked);
-    append_kv(out, "map_chunks", map_chunks_checked);
-    append_kv(out, "records_intact", records_intact);
+    append_kv(out, "batches", batches_checked);
     append_kv(out, "chunks_intact", chunks_intact);
     append_kv(out, "bytes_discarded", bytes_discarded);
-    append_kv(out, "resume_from_chunk", resume_from_chunk);
+    append_kv(out, "stale_temps", stale_temps);
     append_kv(out, "findings", findings.size());
     out += '\n';
     for (const auto& finding : findings) {
@@ -1094,8 +846,6 @@ std::string ScrubReport::machine_report() const {
         out += to_cstring(finding.damage);
         out += " file=";
         out += encode_token(finding.file);
-        append_kv(out, "offset", finding.offset);
-        append_kv(out, "repaired", finding.repaired ? 1 : 0);
         append_kv(out, "quarantined", finding.quarantined ? 1 : 0);
         out += " detail=";
         out += encode_token(finding.detail);
@@ -1109,222 +859,88 @@ std::string ScrubReport::machine_report() const {
     return out;
 }
 
-namespace {
-
-[[nodiscard]] std::uint64_t file_size_or_zero(const std::filesystem::path& path) {
-    std::error_code ec;
-    const auto size = std::filesystem::file_size(path, ec);
-    return ec ? 0 : static_cast<std::uint64_t>(size);
-}
-
-/// True when a parseable, CRC-valid frame exists anywhere past `pos` — the
-/// tell that distinguishes a mid-segment bit flip (good records stranded
-/// behind the damage) from an ordinary torn tail.
-[[nodiscard]] bool intact_frame_after(std::string_view content, std::size_t pos) {
-    auto search = content.find(kFrameMarker, pos + 1);
-    while (search != std::string_view::npos) {
-        if (next_frame(content, search)) return true;
-        search = content.find(kFrameMarker, search + 1);
-    }
-    return false;
-}
-
-/// Scrub-side mutation helpers: every move/write goes through the seam and
-/// throws JournalIoError on failure — a scrub that cannot repair must say
-/// so, not pretend it did.
-struct ScrubRepairer {
-    util::Io& io;
-    const std::filesystem::path& dir;
-    std::filesystem::path corrupt_dir;
-
-    explicit ScrubRepairer(util::Io& io_seam, const std::filesystem::path& journal_dir)
-        : io{io_seam}, dir{journal_dir}, corrupt_dir{journal_dir / "corrupt"} {}
-
-    void quarantine(const std::filesystem::path& path) {
-        std::filesystem::create_directories(corrupt_dir);
-        const util::IoResult moved =
-            util::rename_durable(io, path, corrupt_dir / path.filename());
-        if (!moved) {
-            throw_io("journal: scrub cannot quarantine " + path.string(), moved);
-        }
-    }
-
-    void save_bytes(const std::string& name, std::string_view bytes) {
-        std::filesystem::create_directories(corrupt_dir);
-        const util::IoResult written =
-            util::write_file_atomic(io, corrupt_dir / name, bytes);
-        if (!written) {
-            throw_io("journal: scrub cannot save " + name, written);
-        }
-    }
-
-    /// The attach-path tail repair: intact prefix republished under the
-    /// segment's OPEN name, sealed original removed.
-    void truncate_to_prefix(const SegmentFile& segment, std::string_view prefix) {
-        const auto target = open_path(dir, segment.index);
-        const util::IoResult repaired = util::write_file_atomic(io, target, prefix);
-        if (!repaired) {
-            throw_io("journal: scrub cannot repair " + segment.path.string(), repaired);
-        }
-        if (!segment.open) {
-            const util::IoResult removed = io.remove(segment.path);
-            if (!removed) {
-                throw_io("journal: scrub cannot drop " + segment.path.string(), removed);
-            }
-        }
-    }
-};
-
-}  // namespace
-
 ScrubReport scrub_journal(const std::filesystem::path& dir, const ScrubOptions& options) {
     ScrubReport report;
     if (!std::filesystem::is_directory(dir)) return report;
     util::Io& io = util::resolve_io(options.io);
-    ScrubRepairer repairer{io, dir};
+    const auto corrupt_dir = dir / "corrupt";
 
-    // --- Segment layout ----------------------------------------------------
-    const Walk walk = walk_journal(dir, nullptr, nullptr);
-    report.segments_checked = walk.segments.size();
-    report.has_header = walk.replay.has_header;
-    report.header = walk.replay.header;
-    report.chunks_intact = walk.replay.chunks_replayed;
-    report.records_intact = walk.replay.chunks_replayed + (walk.replay.has_header ? 1 : 0);
-    report.bytes_discarded = walk.replay.torn_bytes_discarded;
-    report.resume_from_chunk = walk.replay.chunks_replayed;
-
-    // A gap in the segment numbering means a whole sealed segment vanished.
-    std::size_t gap = walk.segments.size();
-    for (std::size_t s = 0; s < walk.segments.size(); ++s) {
-        if (walk.segments[s].index != s) {
-            gap = s;
-            break;
-        }
+    const auto temps = stale_temps(dir);
+    report.stale_temps = temps.size();
+    if (options.repair) {
+        for (const auto& path : temps) remove_or_throw(io, path);
     }
 
-    std::uint64_t total_segment_bytes = 0;
-    for (const auto& seg : walk.segments) {
+    // Quarantined, never deleted: the damaged file moves under corrupt/.
+    const auto condemn = [&](ScrubDamage damage, const std::filesystem::path& path,
+                             std::string detail) {
+        ScrubFinding finding;
+        finding.damage = damage;
+        finding.file = path.filename().string();
+        finding.detail = std::move(detail);
         std::error_code ec;
-        const auto size = std::filesystem::file_size(seg.path, ec);
-        if (!ec) total_segment_bytes += size;
-    }
-
-    if (!walk.segments.empty() && !walk.replay.has_header && total_segment_bytes > 0) {
-        // Record 0 is unreadable: nothing here can be attributed to any
-        // campaign, so no record is safe to replay.
-        ScrubFinding finding;
-        finding.damage = ScrubDamage::header_corrupt;
-        finding.file = walk.segments.front().path.filename().string();
-        finding.detail = "campaign header record unreadable; quarantining all segments";
-        report.bytes_discarded = total_segment_bytes;
+        const auto size = std::filesystem::file_size(path, ec);
+        if (!ec) report.bytes_discarded += size;
         if (options.repair) {
-            for (const auto& seg : walk.segments) repairer.quarantine(seg.path);
+            std::filesystem::create_directories(corrupt_dir);
+            const util::IoResult moved =
+                util::rename_durable(io, path, corrupt_dir / path.filename());
+            if (!moved) throw_io("journal: scrub cannot quarantine " + path.string(), moved);
             finding.quarantined = true;
         }
         report.findings.push_back(std::move(finding));
-    } else if (gap < walk.segments.size()) {
-        ScrubFinding finding;
-        finding.damage = ScrubDamage::missing_segment;
-        finding.file = sealed_path(dir, gap).filename().string();
-        finding.detail = "segment " + std::to_string(gap) +
-                         " missing; records after the hole violate the contiguous "
-                         "prefix and are quarantined";
-        if (options.repair) {
-            for (std::size_t s = gap; s < walk.segments.size(); ++s) {
-                repairer.quarantine(walk.segments[s].path);
-            }
-            finding.quarantined = true;
-        }
-        report.findings.push_back(std::move(finding));
-    } else if (walk.torn) {
-        const SegmentFile& tear = walk.segments[walk.tear_segment];
-        const std::string content = read_whole_file(tear.path);
-        const std::string_view prefix{content.data(),
-                                      static_cast<std::size_t>(walk.tear_offset)};
-        const bool mid = intact_frame_after(content, walk.tear_offset) ||
-                         walk.tear_segment + 1 < walk.segments.size();
-        ScrubFinding finding;
-        finding.file = tear.path.filename().string();
-        finding.offset = walk.tear_offset;
-        if (mid) {
-            finding.damage = ScrubDamage::mid_segment_corruption;
-            finding.detail =
-                "bad frame with intact records behind it (bit flip or hole); "
-                "damaged tail quarantined, intact prefix kept";
-            if (options.repair) {
-                repairer.save_bytes(tear.path.filename().string() + ".tail",
-                                    std::string_view{content}.substr(
-                                        static_cast<std::size_t>(walk.tear_offset)));
-                for (std::size_t s = walk.tear_segment + 1; s < walk.segments.size();
-                     ++s) {
-                    repairer.quarantine(walk.segments[s].path);
-                }
-                repairer.truncate_to_prefix(tear, prefix);
-                finding.repaired = true;
-                finding.quarantined = true;
-            }
-        } else {
-            finding.damage = ScrubDamage::torn_tail;
-            finding.detail = "frame torn at end of journal (crash artifact); "
-                             "truncated to intact prefix";
-            if (options.repair) {
-                repairer.truncate_to_prefix(tear, prefix);
-                finding.repaired = true;
-            }
-        }
-        report.findings.push_back(std::move(finding));
-    }
+    };
 
-    // --- Map layout --------------------------------------------------------
-    const auto header_path = map_header_path(dir);
-    if (std::filesystem::is_regular_file(header_path)) {
-        ++report.map_chunks_checked;
-        const auto payload = read_framed_file(header_path);
+    const auto batches = list_batches(dir);
+    report.batches_checked = batches.size();
+    const auto header_file = journal_header_path(dir);
+    bool attributable = true;
+    std::size_t chunk_count = 0;
+    if (std::filesystem::exists(header_file)) {
+        const auto payload = read_framed_file(header_file);
         const auto parsed = payload ? parse_header(*payload) : std::nullopt;
         if (parsed) {
-            ++report.records_intact;
-            if (!report.has_header) {
-                report.has_header = true;
-                report.header = *parsed;
-            }
+            report.has_header = true;
+            report.header = *parsed;
+            chunk_count = ShardPlan{parsed->domain_count, parsed->chunk_domains}.chunk_count();
         } else {
-            ScrubFinding finding;
-            finding.damage = ScrubDamage::header_corrupt;
-            finding.file = header_path.filename().string();
-            finding.detail = "map header fails frame/CRC/body validation";
-            report.bytes_discarded += file_size_or_zero(header_path);
-            if (options.repair) {
-                repairer.quarantine(header_path);
-                finding.quarantined = true;
+            attributable = false;
+            // Nothing here can be attributed to a campaign, so no batch is
+            // safe to replay.
+            condemn(ScrubDamage::header_corrupt, header_file,
+                    "campaign header unreadable; quarantining every batch, resume "
+                    "rescans every chunk");
+            for (const BatchFile& batch : batches) {
+                condemn(ScrubDamage::corrupt_batch, batch.path,
+                        "batch of a campaign whose header is unreadable");
             }
-            report.findings.push_back(std::move(finding));
         }
     }
-    for (const std::size_t index : list_map_chunks(dir)) {
-        ++report.map_chunks_checked;
-        if (read_map_chunk(dir, index)) {
-            ++report.records_intact;
-            ++report.chunks_intact;
-            continue;
+    if (attributable) {
+        for (const BatchFile& batch : batches) {
+            if (read_batch(batch)) {
+                report.chunks_intact += batch.chunks();
+                continue;
+            }
+            condemn(ScrubDamage::corrupt_batch, batch.path,
+                    "frame/CRC/body validation fails or a record names another chunk");
+            // Chunks past the campaign's last one do not exist to rescan
+            // (and a forged name must not make the list huge).
+            for (std::size_t c = batch.first; c <= batch.last && c < chunk_count; ++c) {
+                report.chunks_to_rescan.push_back(c);
+            }
         }
-        const auto chunk_path = map_chunk_path(dir, index);
-        ScrubFinding finding;
-        finding.damage = ScrubDamage::corrupt_map_chunk;
-        finding.file = chunk_path.filename().string();
-        finding.detail = "chunk record fails frame/CRC/body validation or names the "
-                         "wrong chunk; rescan chunk " +
-                         std::to_string(index);
-        report.bytes_discarded += file_size_or_zero(chunk_path);
-        report.chunks_to_rescan.push_back(index);
-        if (options.repair) {
-            repairer.quarantine(chunk_path);
-            finding.quarantined = true;
-        }
-        report.findings.push_back(std::move(finding));
     }
+    std::sort(report.chunks_to_rescan.begin(), report.chunks_to_rescan.end());
+    report.chunks_to_rescan.erase(
+        std::unique(report.chunks_to_rescan.begin(), report.chunks_to_rescan.end()),
+        report.chunks_to_rescan.end());
 
     if (options.repair && !report.clean()) {
-        repairer.save_bytes("scrub.report", report.machine_report());
+        std::filesystem::create_directories(corrupt_dir);
+        const util::IoResult written =
+            util::write_file_atomic(io, corrupt_dir / "scrub.report", report.machine_report());
+        if (!written) throw_io("journal: scrub cannot save scrub.report", written);
     }
     return report;
 }

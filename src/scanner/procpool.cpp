@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -25,6 +26,7 @@
 #include "util/proc.hpp"
 
 #ifndef _WIN32
+#include <dirent.h>
 #include <poll.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -83,6 +85,37 @@ std::optional<std::int64_t> lease_age_ns(const std::filesystem::path& path) {
     if (ec) return std::nullopt;
     const auto now = std::filesystem::file_time_type::clock::now();
     return std::chrono::duration_cast<std::chrono::nanoseconds>(now - written).count();
+}
+
+/// Chunks some batch file in `dir` covers. Presence, not validity: a batch
+/// that fails validation is resume's to rescan. Workers call this every
+/// claim round, so it reads the entries in place instead of building a
+/// path per file.
+std::vector<char> recorded_chunks(const std::filesystem::path& dir, std::size_t total) {
+    std::vector<char> recorded(total, 0);
+    DIR* listing = ::opendir(dir.c_str());
+    if (listing == nullptr) return recorded;
+    while (const ::dirent* entry = ::readdir(listing)) {
+        if (const auto batch = parse_batch_name(entry->d_name)) {
+            for (std::size_t c = batch->first; c <= batch->last && c < total; ++c) {
+                recorded[c] = 1;
+            }
+        }
+    }
+    ::closedir(listing);
+    return recorded;
+}
+
+/// Publishes one record as a single-chunk batch.
+util::IoResult publish_single(const Campaign& campaign, const ChunkRecord& record) {
+    BatchWriter writer{campaign.options(), std::numeric_limits<std::size_t>::max()};
+    try {
+        writer.append(record);
+        writer.publish();
+    } catch (const JournalIoError& e) {
+        return e.result();
+    }
+    return util::IoResult::success();
 }
 
 /// Placeholder record for a chunk whose scans keep killing worker processes:
@@ -152,7 +185,7 @@ ChunkRecord scan_chunk_record(const Campaign& campaign, std::size_t chunk,
 /// lease that had already exhausted chunk_attempts is quarantined on the
 /// spot (`*quarantined` incremented) and reported unclaimable — the chunk is
 /// finished, not available.
-std::optional<std::uint64_t> clear_stale_lease(util::Io& io, const Campaign& campaign,
+std::optional<std::uint64_t> clear_stale_lease(const Campaign& campaign,
                                                const ProcPoolOptions& options,
                                                const std::filesystem::path& dir,
                                                std::size_t chunk,
@@ -183,7 +216,7 @@ std::optional<std::uint64_t> clear_stale_lease(util::Io& io, const Campaign& cam
         // quarantine placeholder instead of feeding it another incarnation.
         // Best-effort: a failed publish leaves the chunk unclaimed and the
         // next sweep (or the supervisor's inline pass) retries it.
-        (void)write_map_chunk(io, dir, proc_quarantine_record(campaign, chunk));
+        (void)publish_single(campaign, proc_quarantine_record(campaign, chunk));
         if (quarantined != nullptr) ++*quarantined;
         return std::nullopt;
     }
@@ -202,9 +235,10 @@ struct WorkerContext {
     int pipe_fd = -1;
 };
 
-/// The worker process body: claim a batch of leases, scan and publish each
-/// chunk, repeat until every chunk of the campaign has a record. Exit codes:
-/// 0 = no work left, 2 = unexpected exception, 3 = publish failed.
+/// The worker process body: claim a batch of consecutive leased chunks,
+/// scan them into one batch file, publish it, repeat until every chunk of
+/// the campaign is recorded. Exit codes: 0 = no work left, 2 = unexpected
+/// exception, 3 = publish failed.
 int worker_main(const WorkerContext& ctx) noexcept {
     try {
         ::signal(SIGPIPE, SIG_IGN);
@@ -225,6 +259,17 @@ int worker_main(const WorkerContext& ctx) noexcept {
         const auto heartbeat = [&] {
             send("hb " + std::to_string(telemetry::current_rss_bytes()));
         };
+        // Leases are advisory (they stop duplicate work, never corrupt
+        // output), so rewriting one is atomic but not fsynced; a failure is
+        // reported, not fatal.
+        const auto rewrite_lease = [&](const ChunkLease& lease, const char* what) {
+            const util::IoResult written = util::replace_file(
+                *ctx.io, lease_path(ctx.dir, lease.chunk_index), serialize_lease(lease));
+            if (!written) {
+                send(std::string{"ioerr "} + what + " chunk " +
+                     std::to_string(lease.chunk_index) + ": " + written.message());
+            }
+        };
         heartbeat();
         const std::size_t total = campaign.chunk_count();
         if (total == 0) return 0;
@@ -234,28 +279,25 @@ int worker_main(const WorkerContext& ctx) noexcept {
         std::size_t cursor =
             static_cast<std::size_t>(ctx.slot) * total / std::max(1u, opt.procs);
         for (;;) {
+            const std::vector<char> recorded = recorded_chunks(ctx.dir, total);
             std::vector<ChunkLease> claimed;
             bool any_pending = false;
-            for (std::size_t step = 0; step < total && claimed.size() < batch; ++step) {
-                const std::size_t c = (cursor + step) % total;
-                std::error_code ec;
-                if (std::filesystem::exists(map_chunk_path(ctx.dir, c), ec)) continue;
+            // Claims chunk c; false when it is recorded, leased by a live
+            // peer, quarantined on the spot or lost to a racing claimant.
+            const auto claim = [&](std::size_t c) {
+                if (recorded[c] != 0) return false;
                 any_pending = true;
                 std::uint64_t quarantined = 0;
-                const auto prior =
-                    clear_stale_lease(*ctx.io, campaign, opt, ctx.dir, c, &quarantined);
-                if (quarantined > 0) {
-                    send("pquar " + std::to_string(c));
-                    continue;
-                }
-                if (!prior) continue;
+                const auto prior = clear_stale_lease(campaign, opt, ctx.dir, c, &quarantined);
+                if (quarantined > 0) send("pquar " + std::to_string(c));
+                if (!prior) return false;
                 ChunkLease lease;
                 lease.chunk_index = c;
                 lease.pid = util::current_pid();
                 lease.token = ctx.token;
-                // Inherit the scan-start count unchanged: merely HOLDING a
-                // lease when the process dies must not taint the chunk — only
-                // dying mid-scan does (the bump below, right before scanning).
+                // Inherit the death count unchanged: merely HOLDING a lease
+                // when the process dies must not taint the chunk — only dying
+                // mid-scan does (the bump below, right before scanning).
                 lease.attempts = *prior;
                 const util::IoResult claimed_res = claim_lease(*ctx.io, ctx.dir, lease);
                 if (!claimed_res) {
@@ -265,14 +307,25 @@ int worker_main(const WorkerContext& ctx) noexcept {
                         send("ioerr claim chunk " + std::to_string(c) + ": " +
                              claimed_res.message());
                     }
-                    continue;
+                    return false;
                 }
                 if (opt.worker_event_hook) opt.worker_event_hook(ctx.slot, "claim", c);
                 send("claim " + std::to_string(c));
                 claimed.push_back(lease);
+                return true;
+            };
+            // The first claimable chunk from the cursor on opens the batch;
+            // a batch file holds consecutive chunks, so the first chunk after
+            // it that cannot be claimed (or the end of the campaign) ends it.
+            for (std::size_t step = 0; step < total && claimed.empty(); ++step) {
+                (void)claim((cursor + step) % total);
+            }
+            while (!claimed.empty() && claimed.size() < batch &&
+                   claimed.back().chunk_index + 1 < total &&
+                   claim(claimed.back().chunk_index + 1)) {
             }
             if (claimed.empty()) {
-                if (!any_pending) return 0;  // every chunk has a record
+                if (!any_pending) return 0;  // every chunk is recorded
                 // Live peers hold all remaining work: wait for them (or for
                 // their leases to go stale) with the heartbeat flowing.
                 heartbeat();
@@ -280,48 +333,56 @@ int worker_main(const WorkerContext& ctx) noexcept {
                 cursor = (cursor + 1) % total;
                 continue;
             }
-            for (ChunkLease lease : claimed) {
+            BatchWriter writer{campaign.options(), std::numeric_limits<std::size_t>::max()};
+            for (ChunkLease& lease : claimed) {
                 const std::size_t c = lease.chunk_index;
                 heartbeat();
-                // Mark the scan as STARTED: a death from here until publish
-                // charges one attempt against the chunk. We own the lease, so
-                // an atomic rewrite (same token, attempts+1) is race-free.
+                // Mark the scan as STARTED: a death from here until the scan
+                // is done charges one attempt against the chunk. We own the
+                // lease, so rewriting it (same token) is race-free.
+                const std::uint64_t inherited = lease.attempts;
                 ++lease.attempts;
-                const util::IoResult bumped = util::write_file_atomic(
-                    *ctx.io, lease_path(ctx.dir, c), serialize_lease(lease));
-                if (!bumped) {
-                    // Non-fatal (the lease is advisory bookkeeping), but the
-                    // supervisor should know the disk dropped a write.
-                    send("ioerr lease bump chunk " + std::to_string(c) + ": " +
-                         bumped.message());
-                }
+                rewrite_lease(lease, "lease bump");
                 ChunkRecord record = scan_chunk_record(campaign, c, [&] {
                     send("restart 1");
                     heartbeat();
                 });
                 if (opt.worker_event_hook) opt.worker_event_hook(ctx.slot, "scanned", c);
-                const util::IoResult published = write_map_chunk(*ctx.io, ctx.dir, record);
-                if (!published) {
-                    // Publish is the one write that matters: without the
-                    // record the scan never happened. Attribute the cause,
-                    // then die with the publish-failed exit code so the
+                try {
+                    writer.append(record);
+                } catch (const JournalIoError& e) {
+                    // Without its batch the scan never happened. Attribute the
+                    // cause, then die with the publish-failed exit code so the
                     // supervisor can restart (or finish inline).
                     send("ioerr publish chunk " + std::to_string(c) + ": " +
-                         published.message());
+                         e.result().message());
                     return 3;
                 }
-                if (opt.worker_event_hook) {
-                    opt.worker_event_hook(ctx.slot, "published", c);
-                }
+                // Scanned: a death on a later chunk of this batch is not
+                // this chunk's fault.
+                lease.attempts = inherited;
+                rewrite_lease(lease, "lease restore");
+            }
+            try {
+                writer.publish();
+            } catch (const JournalIoError& e) {
+                send("ioerr publish chunks " + std::to_string(claimed.front().chunk_index) +
+                     "-" + std::to_string(claimed.back().chunk_index) + ": " +
+                     e.result().message());
+                return 3;
+            }
+            for (const ChunkLease& lease : claimed) {
+                const std::size_t c = lease.chunk_index;
+                if (opt.worker_event_hook) opt.worker_event_hook(ctx.slot, "published", c);
                 (void)release_lease(ctx.dir, c, ctx.token);
                 send("done " + std::to_string(c));
-                if (opt.rss_soft_budget > 0 && batch > 1 &&
-                    telemetry::current_rss_bytes() > opt.rss_soft_budget) {
-                    // Soft budget tripped: degrade to single-chunk batches
-                    // instead of growing until the hard limit kills us.
-                    batch = 1;
-                    send("batch 1");
-                }
+            }
+            if (opt.rss_soft_budget > 0 && batch > 1 &&
+                telemetry::current_rss_bytes() > opt.rss_soft_budget) {
+                // Soft budget tripped: degrade to single-chunk batches
+                // instead of growing until the hard limit kills us.
+                batch = 1;
+                send("batch 1");
             }
             cursor = (claimed.back().chunk_index + 1) % total;
         }
@@ -355,23 +416,16 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
     if (sopt.journal_dir.empty()) {
         throw std::invalid_argument(
             "procpool: the campaign has no journal_dir — multi-process execution "
-            "needs a shared map journal");
+            "needs a shared journal");
     }
     const std::filesystem::path dir = sopt.journal_dir;
     util::Io& io = util::resolve_io(sopt.io);
 
-    CampaignHeader header;
-    header.seed = sopt.seed;
-    header.week = sopt.week;
-    header.ipv6 = sopt.ipv6;
-    header.chunk_domains = sopt.chunk_domains;
-    header.domain_count = campaign.domain_count();
-    header.has_telemetry = campaign.metrics() != nullptr;
-    init_map_journal(io, dir, header, options.fresh);
-
-    // Exclusive campaign ownership of the directory for the whole map pass.
-    // Forked children inherit the held flag but _exit without running
-    // destructors, so only the supervisor ever releases it.
+    // Exclusive campaign ownership of the directory for the whole map pass,
+    // taken before the directory is touched. Forked children inherit the
+    // held flag but _exit without running destructors, so only the
+    // supervisor ever releases it.
+    std::filesystem::create_directories(dir);
     util::PidLockFile journal_lock;
     try {
         journal_lock.acquire(journal_lock_path(dir));
@@ -383,6 +437,9 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
             std::to_string(campaign.domain_count()) + ") in " +
             std::to_string(campaign.chunk_count()) + " chunks");
     }
+    init_journal(dir,
+                 campaign_header(sopt, campaign.domain_count(), campaign.metrics() != nullptr),
+                 options.fresh, &io);
 
     ProcPoolReport report;
     report.procs = options.procs;
@@ -566,11 +623,11 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
     // — cleanly (no claimable work left) or with its restart budget spent.
     // Chunks still missing a record are finished inline, with the same
     // attempts bookkeeping the workers apply.
+    const std::vector<char> recorded = recorded_chunks(dir, report.chunks_total);
     for (std::size_t c = 0; c < report.chunks_total; ++c) {
-        std::error_code ec;
-        if (std::filesystem::exists(map_chunk_path(dir, c), ec)) continue;
+        if (recorded[c] != 0) continue;
         std::uint64_t quarantined = 0;
-        (void)clear_stale_lease(io, campaign, options, dir, c, &quarantined);
+        (void)clear_stale_lease(campaign, options, dir, c, &quarantined);
         if (quarantined > 0) {
             report.chunks_quarantined += quarantined;
             continue;
@@ -581,14 +638,14 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
         if (const auto lease = read_lease(dir, c)) {
             (void)release_lease(dir, c, lease->token);
             if (lease->attempts >= options.chunk_attempts) {
-                (void)write_map_chunk(io, dir, proc_quarantine_record(campaign, c));
+                (void)publish_single(campaign, proc_quarantine_record(campaign, c));
                 ++report.chunks_quarantined;
                 continue;
             }
         }
         const ChunkRecord record = scan_chunk_record(
             campaign, c, [&] { ++report.worker_thread_restarts; });
-        const util::IoResult published = write_map_chunk(io, dir, record);
+        const util::IoResult published = publish_single(campaign, record);
         if (!published) {
             // Last-resort completion has no further fallback: refuse loudly
             // with the storage cause attributed.
@@ -599,11 +656,8 @@ ProcPoolReport run_procs(const Campaign& campaign, const ProcPoolOptions& option
         ++report.chunks_scanned_inline;
     }
 
-    for (std::size_t c = 0; c < report.chunks_total; ++c) {
-        std::error_code ec;
-        if (std::filesystem::exists(map_chunk_path(dir, c), ec)) {
-            ++report.chunks_recorded;
-        }
+    for (const char chunk_recorded : recorded_chunks(dir, report.chunks_total)) {
+        if (chunk_recorded != 0) ++report.chunks_recorded;
     }
     if (report.chunks_recorded != report.chunks_total) {
         throw std::runtime_error("procpool: map pass finished with missing chunks");

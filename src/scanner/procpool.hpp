@@ -1,24 +1,24 @@
 // spinscope/scanner/procpool.hpp
 //
 // Multi-process campaign execution: a supervisor that forks N worker
-// processes, each scanning leased chunks into one shared map-layout journal
-// directory (DESIGN.md §13).
+// processes, each scanning leased chunks into one shared journal directory
+// (DESIGN.md §13) — the same batch-file layout an in-process run writes.
 //
 // PR 5's in-process supervision survives a chunk whose scan THROWS; it
 // cannot survive the failures that dominate week-long full-machine sweeps —
 // OOM kills, segfaults, wedged processes. The process pool adds that layer:
-// workers are disposable OS processes, their only durable output is
-// atomically-published per-chunk record files, and the supervisor's job is
+// workers are disposable OS processes, their only durable output is one
+// atomically published batch file per lease batch, and the supervisor's job is
 // liveness (heartbeats, kill-on-hang, restart-with-backoff) and lease
 // hygiene. Because chunk scans are pure functions of the campaign options
-// (DESIGN.md §9) and record publication is an atomic rename, `kill -9` of
+// (DESIGN.md §9) and batch publication is an atomic rename, `kill -9` of
 // any worker at any instant changes nothing about the eventual output —
-// Campaign::reduce folds whatever set of records survived, rescans the
-// rest, and produces a byte-identical result to a single-process run.
+// Campaign::resume folds whatever batches survived, rescans the rest, and
+// produces a byte-identical result to a single-process run.
 //
 // Division of labour:
 //   run_procs()        parent: lease/scan/publish every chunk (the "map")
-//   Campaign::reduce   parent, afterwards: ordered merge (the "reduce")
+//   Campaign::resume   parent, afterwards: ordered merge (the "reduce")
 //
 // Leases (`chunk-NNNNN.lease`) are an efficiency and liveness mechanism,
 // not a correctness one: they stop live workers from duplicating work, and
@@ -46,14 +46,15 @@ namespace spinscope::scanner {
 struct ProcPoolOptions {
     /// Worker processes to fork (>= 1).
     unsigned procs = 2;
-    /// Start from a wiped map journal (a fresh campaign). With false, an
-    /// existing map journal for the SAME campaign is continued — chunks with
-    /// published records are skipped — which is how a killed supervisor's
-    /// campaign is picked back up.
+    /// Start from a wiped journal (a fresh campaign). With false, an existing
+    /// journal for the SAME campaign is continued — chunks in published
+    /// batches are skipped — which is how a killed supervisor's campaign is
+    /// picked back up.
     bool fresh = true;
-    /// Chunks a worker leases per claim round (>= 1). Larger batches
-    /// amortize directory traffic; a worker that trips its soft RSS budget
-    /// degrades its batch to 1 instead of dying.
+    /// Consecutive chunks a worker leases per claim round and publishes as
+    /// one batch file (>= 1). Larger batches amortize fsyncs and directory
+    /// traffic; a worker that trips its soft RSS budget degrades its batch
+    /// to 1 instead of dying.
     std::size_t lease_batch = 4;
     /// Worker heartbeat cadence; also the supervisor's poll granularity.
     util::Duration heartbeat_interval = util::Duration::millis(20);
@@ -64,7 +65,8 @@ struct ProcPoolOptions {
     util::Duration lease_ttl = util::Duration::seconds(300);
     /// Process incarnations a single chunk may burn before the supervisor
     /// quarantines it (>= 1): its record is then published as quarantined
-    /// placeholders, attributing the repeated worker deaths to the chunk.
+    /// placeholders in a single-chunk batch, attributing the repeated worker
+    /// deaths to the chunk.
     std::uint64_t chunk_attempts = 3;
     /// Restart-with-backoff schedule per worker SLOT: max_attempts is the
     /// total number of process incarnations of one slot (1 = never re-fork).
@@ -82,9 +84,10 @@ struct ProcPoolOptions {
     std::uint64_t rss_hard_limit = 0;
     /// TEST hook: invoked IN THE WORKER PROCESS at lifecycle points —
     /// phase is "claim" (right after a lease is claimed), "scanned" (chunk
-    /// scanned, record not yet published) or "published" (record on disk,
-    /// lease not yet released). The chaos kill-sweep raises SIGKILL from
-    /// here. Keep null in production.
+    /// scanned, its record not yet written to the batch) or "published"
+    /// (the batch holding the chunk is on disk, the chunk's lease not yet
+    /// released). The chaos kill-sweep raises SIGKILL from here. Keep null
+    /// in production.
     std::function<void(unsigned slot, const char* phase, std::size_t chunk)>
         worker_event_hook;
 
@@ -109,7 +112,7 @@ struct ProcPoolReport {
     /// Chunks the supervisor scanned inline because every worker slot had
     /// exhausted its restart budget (last-resort completion).
     std::uint64_t chunks_scanned_inline = 0;
-    /// Chunk records present in the map journal when the pass finished.
+    /// Chunks covered by published batches when the pass finished.
     std::uint64_t chunks_recorded = 0;
     std::uint64_t chunks_total = 0;
     /// Storage-level I/O failures workers reported over the heartbeat
@@ -123,16 +126,16 @@ struct ProcPoolReport {
 };
 
 /// Runs the map pass: forks `options.procs` workers that lease and scan
-/// every chunk of `campaign` into the map-layout journal at
-/// ScanOptions::journal_dir, supervising them until every chunk has a
-/// published record. The campaign's metrics registry (if attached) receives
+/// every chunk of `campaign` into the journal at
+/// ScanOptions::journal_dir, supervising them until every chunk is in a
+/// published batch. The campaign's metrics registry (if attached) receives
 /// process-level observability — campaign.restarted_procs,
 /// campaign.restarted_workers, obs.proc.* gauges — and its trace recorder
 /// (if attached) gets wall-clock worker-incarnation lanes; neither perturbs
 /// deterministic output (both prefixes are excluded from
-/// telemetry::deterministic_csv). Returns once the map journal is complete.
+/// telemetry::deterministic_csv). Returns once every chunk is in a batch.
 ///
-/// Holds the journal.lock while running. Call Campaign::reduce afterwards
+/// Holds the journal.lock while running. Call Campaign::resume afterwards
 /// for the merged result. Throws std::invalid_argument on bad options or an
 /// empty journal_dir, std::runtime_error on supervision failures or on
 /// platforms without fork().

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <string>
+#include <string_view>
 #include <system_error>
 
 #ifndef _WIN32
@@ -12,24 +14,6 @@
 namespace spinscope::util {
 
 namespace {
-
-/// Temp-file name next to `path`; the PID suffix keeps concurrent writers of
-/// different processes from clobbering each other's temp files, and the
-/// process-wide serial keeps concurrent threads of ONE process (sharded
-/// chunk workers publishing into one journal dir) from clobbering each
-/// other's temp files too.
-std::filesystem::path temp_sibling(const std::filesystem::path& path) {
-#ifndef _WIN32
-    const long pid = static_cast<long>(::getpid());
-#else
-    const long pid = 0;
-#endif
-    static std::atomic<unsigned long> serial{0};
-    const unsigned long n = serial.fetch_add(1, std::memory_order_relaxed);
-    std::filesystem::path temp = path;
-    temp += ".tmp." + std::to_string(pid) + "." + std::to_string(n);
-    return temp;
-}
 
 /// Write + fsync + close an already-opened handle; on any failure the file at
 /// `path` is removed best-effort and the first error is returned.
@@ -47,6 +31,52 @@ IoResult finish_new_file(Io& io, int fd, const std::filesystem::path& path,
 }
 
 }  // namespace
+
+std::filesystem::path temp_sibling(const std::filesystem::path& path) {
+#ifndef _WIN32
+    const long pid = static_cast<long>(::getpid());
+#else
+    const long pid = 0;
+#endif
+    static std::atomic<unsigned long> serial{0};
+    const unsigned long n = serial.fetch_add(1, std::memory_order_relaxed);
+    std::filesystem::path temp = path;
+    temp += ".tmp." + std::to_string(pid) + "." + std::to_string(n);
+    return temp;
+}
+
+std::optional<long> temp_sibling_owner(const std::filesystem::path& path) {
+    // <name>.tmp.<pid>.<serial>, both numeric fields complete.
+    const std::string name = path.filename().string();
+    const auto marker = name.rfind(".tmp.");
+    if (marker == std::string::npos) return std::nullopt;
+    const std::string_view rest = std::string_view{name}.substr(marker + 5);
+    const auto dot = rest.find('.');
+    if (dot == std::string_view::npos) return std::nullopt;
+    const auto whole = [](std::string_view s, auto& out) {
+        const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+        return !s.empty() && ec == std::errc{} && ptr == s.data() + s.size();
+    };
+    long pid = 0;
+    unsigned long serial = 0;
+    if (!whole(rest.substr(0, dot), pid) || !whole(rest.substr(dot + 1), serial)) {
+        return std::nullopt;
+    }
+    return pid;
+}
+
+IoResult replace_file(Io& io, const std::filesystem::path& path, std::string_view content) {
+    const std::filesystem::path temp = temp_sibling(path);
+    IoResult result;
+    const int fd = io.open_write(temp, Io::OpenMode::truncate, result);
+    if (fd == Io::kBadFile) return result;
+    result = io.write(fd, content);
+    const IoResult closed = io.close(fd);
+    if (result) result = closed;
+    if (result) result = io.rename(temp, path);
+    if (!result) (void)io.remove(temp);
+    return result;
+}
 
 IoResult write_file_atomic(Io& io, const std::filesystem::path& path,
                            std::string_view content) {

@@ -3,7 +3,7 @@
 // Crash-safe file publication: write-to-temp + fsync + rename.
 //
 // The campaign pipeline persists state a crash must never tear — telemetry
-// sidecars, qlog dataset shards, journal segments. POSIX rename() within one
+// sidecars, qlog dataset shards, journal batches. POSIX rename() within one
 // filesystem is atomic, so a reader (or a resumed campaign) only ever
 // observes the old file or the complete new file, never a partial write.
 // fsync-before-rename closes the remaining window where the rename survives
@@ -17,6 +17,7 @@
 #pragma once
 
 #include <filesystem>
+#include <optional>
 #include <string_view>
 
 #include "util/io.hpp"
@@ -32,6 +33,24 @@ namespace spinscope::util {
                                          std::string_view content);
 [[nodiscard]] bool write_file_atomic(const std::filesystem::path& path,
                                      std::string_view content);
+
+/// The temp file a writer fills before renaming it onto `path`:
+/// `<path>.tmp.<pid>.<serial>`. The pid keeps writers of different
+/// processes apart, the process-wide serial keeps threads of one process
+/// apart. Every failed or interrupted publish of this module removes its
+/// temp file best-effort; one killed mid-write leaves it behind.
+[[nodiscard]] std::filesystem::path temp_sibling(const std::filesystem::path& path);
+
+/// The writer pid encoded in a temp_sibling() name; nullopt for any other
+/// file name.
+[[nodiscard]] std::optional<long> temp_sibling_owner(const std::filesystem::path& path);
+
+/// Replaces `path` atomically (temp file + rename) WITHOUT fsync: readers
+/// see the old or the new content, never a mix, but a power cut may lose
+/// either. For advisory files whose content means nothing after a crash
+/// (chunk leases: every owner pid is dead by then).
+[[nodiscard]] IoResult replace_file(Io& io, const std::filesystem::path& path,
+                                    std::string_view content);
 
 /// Durably renames `from` onto `to`: fsyncs `from`'s data is the caller's
 /// job (write_file_atomic does it; an append-mode writer must fsync before
@@ -54,7 +73,7 @@ namespace spinscope::util {
 bool fsync_dir(const std::filesystem::path& dir);
 
 /// Best-effort fsync of an already-written file by path (opens, fsyncs,
-/// closes). Used by append-mode writers before sealing a segment. Fails when
+/// closes). For files written by a handle that is already closed. Fails when
 /// the file cannot be opened or synced.
 [[nodiscard]] IoResult fsync_file(Io& io, const std::filesystem::path& path);
 bool fsync_file(const std::filesystem::path& path);

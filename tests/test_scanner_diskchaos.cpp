@@ -9,7 +9,8 @@
 //
 // The default run sweeps a reduced fault matrix so the tier-1 ctest lane
 // stays fast; scripts/ci.sh diskchaos sets SPINSCOPE_DISKCHAOS_FULL=1 for
-// the full fault-plan × injection-point × threads × procs sweep.
+// the full fault-plan × injection-point × threads × procs sweep, against the
+// one batch-file layout both execution modes write.
 
 #include <gtest/gtest.h>
 
@@ -33,7 +34,7 @@ namespace {
 
 using spinscope::testing::render_scan_stream;
 
-// ~110 domains at seed 1 — 7 chunks at chunk_domains=16; small segments make
+// ~110 domains at seed 1 — 7 chunks at chunk_domains=16; small batches make
 // every fault ordinal land inside the journal's busy write window.
 web::Population tiny_population() { return web::Population{{2'000'000.0, 1}}; }
 
@@ -134,7 +135,7 @@ char expect_no_silent_corruption(const web::Population& population,
 TEST_F(DiskChaosTest, EveryFaultPlanCompletesIdenticallyOrRefusesLoudly) {
     const web::Population population = tiny_population();
     ScanOptions base;
-    base.journal_segment_bytes = 1024;  // several segments → seals mid-run
+    base.journal_batch_bytes = 1024;  // one batch per chunk → publishes mid-run
     base.journal_retry.initial_backoff = util::Duration::millis(1);
     base.journal_retry.max_backoff = util::Duration::millis(2);
     const SweepResult baseline =
@@ -204,14 +205,14 @@ TEST_F(DiskChaosTest, DegradedCampaignIsLoudAndItsJournalPrefixIsUsable) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "degraded").string();
-    options.journal_segment_bytes = 1024;
+    options.journal_batch_bytes = 1024;
     options.journal_retry.initial_backoff = util::Duration::millis(1);
     options.journal_retry.max_backoff = util::Duration::millis(2);
     const SweepResult baseline =
         run_campaign(population, options, /*io=*/nullptr, /*resume=*/false);
     std::filesystem::remove_all(options.journal_dir);
 
-    // The disk fills after ~3 KB: a few records land, then every append
+    // The disk fills after ~3 KB: the header lands, then a batch write
     // fails with ENOSPC (fatal, not transient) and the campaign degrades.
     faults::StorageFaultPlan plan;
     plan.enospc_after_bytes = 3000;
@@ -239,14 +240,11 @@ TEST_F(DiskChaosTest, DegradedCampaignIsLoudAndItsJournalPrefixIsUsable) {
     EXPECT_EQ(degraded->value(), 1u);
     EXPECT_NE(registry.find_counter("campaign.journal.io_errors.fatal"), nullptr);
 
-    // The sealed prefix the degrade left behind is an ordinary valid journal:
-    // scrub finds it intact-or-torn (never corrupt), resume completes.
+    // What the degrade left behind is an ordinary valid journal: every
+    // published batch intact, the dropped batch's temp file gone.
     const ScrubReport report = scrub_journal(options.journal_dir);
-    for (const ScrubFinding& finding : report.findings) {
-        EXPECT_NE(finding.damage, ScrubDamage::mid_segment_corruption)
-            << "degrade published a corrupt record";
-        EXPECT_NE(finding.damage, ScrubDamage::header_corrupt);
-    }
+    EXPECT_TRUE(report.clean()) << report.render();
+    EXPECT_EQ(report.stale_temps, 0u);
     const SweepResult resumed =
         run_campaign(population, options, /*io=*/nullptr, /*resume=*/true);
     EXPECT_EQ(resumed.stream, baseline.stream);
@@ -257,26 +255,26 @@ TEST_F(DiskChaosTest, BitFlipAfterSealIsCaughtByScrubAndResumeIsIdentical) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "flip").string();
-    options.journal_segment_bytes = 1024;
+    options.journal_batch_bytes = 1024;
     const SweepResult baseline =
         run_campaign(population, options, /*io=*/nullptr, /*resume=*/false);
     std::filesystem::remove_all(options.journal_dir);
 
-    // The first seal's rename flips one bit in the sealed segment. The
-    // campaign itself cannot notice (the syscall succeeded) — this is the
-    // silent-corruption case that scrub exists to catch.
+    // The first batch publish's rename (the header's is the first rename)
+    // flips one bit in the published batch. The campaign itself cannot
+    // notice (the syscall succeeded) — this is the silent-corruption case
+    // that scrub exists to catch.
     faults::StorageFaultPlan plan;
-    plan.flip_bit_at_rename = 1;
+    plan.flip_bit_at_rename = 2;
     const FaultOutcome outcome = run_faulted(population, options, plan);
     ASSERT_FALSE(outcome.threw) << outcome.error;
     EXPECT_EQ(outcome.result.stream, baseline.stream);
 
     const ScrubReport report = scrub_journal(options.journal_dir);
     ASSERT_FALSE(report.clean()) << "scrub missed the flipped bit";
-    EXPECT_TRUE(report.findings[0].damage == ScrubDamage::mid_segment_corruption ||
-                report.findings[0].damage == ScrubDamage::header_corrupt ||
-                report.findings[0].damage == ScrubDamage::torn_tail)
+    EXPECT_EQ(report.findings[0].damage, ScrubDamage::corrupt_batch)
         << to_cstring(report.findings[0].damage);
+    EXPECT_EQ(report.findings[0].file, "chunks-00000-00000.rec");
 
     const SweepResult resumed =
         run_campaign(population, options, /*io=*/nullptr, /*resume=*/true);
@@ -286,7 +284,7 @@ TEST_F(DiskChaosTest, BitFlipAfterSealIsCaughtByScrubAndResumeIsIdentical) {
 
 TEST_F(DiskChaosTest, TransientWriteErrorsAreRetriedInvisibly) {
     // EINTR is transient: the journal retries and the campaign neither
-    // degrades nor throws — and the journal replays completely afterwards.
+    // degrades nor throws — and every chunk is in an intact batch after.
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "transient").string();
@@ -305,13 +303,13 @@ TEST_F(DiskChaosTest, TransientWriteErrorsAreRetriedInvisibly) {
         << outcome.result.stats.journal_degraded_error;
     EXPECT_EQ(outcome.result.stream, baseline.stream);
 
-    const ReplayResult replay = replay_journal(options.journal_dir);
-    EXPECT_TRUE(replay.has_header);
-    EXPECT_EQ(replay.torn_bytes_discarded, 0u);
+    const ScrubReport report = scrub_journal(options.journal_dir);
+    EXPECT_TRUE(report.clean()) << report.render();
+    EXPECT_TRUE(report.has_header);
     const std::size_t chunk_count =
         (outcome.result.stats.domains_scanned + options.chunk_domains - 1) /
         options.chunk_domains;
-    EXPECT_EQ(replay.chunks.size(), chunk_count) << "a record was silently dropped";
+    EXPECT_EQ(report.chunks_intact, chunk_count) << "a record was silently dropped";
 }
 
 // --- Multi-process: FaultIo under --procs ------------------------------------
@@ -360,12 +358,12 @@ TEST_F(DiskChaosTest, ProcsOnAFullDiskRefuseLoudlyAndRecoverAfterScrub) {
         // Workers exit 3 on failed publishes, restarts burn out, and the
         // supervisor's inline completion hits the same full disk: the pass
         // must refuse with the storage cause attributed — never report a
-        // complete map journal it does not have.
+        // complete journal it does not have.
         ASSERT_TRUE(threw) << "procs=" << procs;
         EXPECT_NE(error.find("No space left"), std::string::npos) << error;
 
-        // Recovery on a real disk: scrub, then continue the SAME map journal
-        // (fresh=false) and reduce — byte-identical to the fault-free run.
+        // Recovery on a real disk: scrub, then continue the SAME journal
+        // (fresh=false) and resume — byte-identical to the fault-free run.
         (void)scrub_journal(journal);
         ScanOptions healthy = options;
         healthy.journal_dir = journal.string();
@@ -377,7 +375,7 @@ TEST_F(DiskChaosTest, ProcsOnAFullDiskRefuseLoudlyAndRecoverAfterScrub) {
         const ProcPoolReport report = run_procs(retry, resume_pool);
         EXPECT_EQ(report.chunks_recorded, report.chunks_total);
         std::string stream;
-        (void)retry.reduce([&](const web::Domain&, DomainScan&& scan) {
+        (void)retry.resume([&](const web::Domain&, DomainScan&& scan) {
             stream += render_scan_stream(scan);
         });
         EXPECT_EQ(stream, baseline.stream) << "procs=" << procs;
@@ -437,16 +435,16 @@ TEST_F(DiskChaosTest, ProcsAbsorbAOneShotPublishFaultAndStayByteIdentical) {
         resume_pool.fresh = false;
         (void)run_procs(retry, resume_pool);
         std::string stream;
-        (void)retry.reduce([&](const web::Domain&, DomainScan&& scan) {
+        (void)retry.resume([&](const web::Domain&, DomainScan&& scan) {
             stream += render_scan_stream(scan);
         });
         EXPECT_EQ(stream, baseline.stream);
         return;
     }
-    // Completed: the map pass is full and the reduce is byte-identical.
+    // Completed: the map pass is full and the resume is byte-identical.
     EXPECT_EQ(report.chunks_recorded, report.chunks_total);
     std::string stream;
-    (void)campaign.reduce([&](const web::Domain&, DomainScan&& scan) {
+    (void)campaign.resume([&](const web::Domain&, DomainScan&& scan) {
         stream += render_scan_stream(scan);
     });
     EXPECT_EQ(stream, baseline.stream);

@@ -1,19 +1,20 @@
-// Crash-safe campaign suite (DESIGN.md §11): journal round-trips, torn-tail
-// detection and repair, kill-and-resume byte-identity, worker supervision
-// (restart + quarantine) and the hung-scan watchdog.
+// Crash-safe campaign suite (DESIGN.md §11): batch-file round-trips,
+// whole-batch validation, kill-and-resume byte-identity, hostile batch
+// files, scrub, worker supervision (restart + quarantine) and the hung-scan
+// watchdog.
 //
-// The recovery contract under test: a campaign killed at ANY byte of its
-// journal and resumed produces byte-identical sink streams, stats and
-// deterministic telemetry to an uninterrupted run, at every thread count —
-// and a campaign whose chunks crash or hang completes degraded instead of
-// dying.
+// The recovery contract under test: a campaign killed at any chunk boundary,
+// or whose journal holds torn, misnamed or overlapping batches, resumes to
+// byte-identical sink streams, stats and deterministic telemetry to an
+// uninterrupted run, at every thread count — and a campaign whose chunks
+// crash or hang completes degraded instead of dying.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -151,117 +152,146 @@ TEST_F(JournalTest, ChunkPayloadRoundTripsIncludingHostileStrings) {
     EXPECT_FALSE(parse_chunk_record(clipped).has_value());
 }
 
-// --- Writer / replay ---------------------------------------------------------
+// --- Batch files -------------------------------------------------------------
+
+/// Options for a BatchWriter publishing into `dir`.
+ScanOptions writer_options(const std::filesystem::path& dir) {
+    ScanOptions options;
+    options.journal_dir = dir.string();
+    return options;
+}
+
+std::string read_file(const std::filesystem::path& path) {
+    std::ifstream in{path, std::ios::binary};
+    return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+}
+
+void write_file(const std::filesystem::path& path, std::string_view bytes) {
+    std::ofstream out{path, std::ios::binary | std::ios::trunc};
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::vector<std::string> file_names(const std::filesystem::path& dir) {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+}
 
 TEST_F(JournalTest, WriterReplayRoundTripWithSegmentRotation) {
-    const CampaignHeader header = sample_header();
+    std::filesystem::create_directories(dir_);
     {
-        // Tiny segments force rotation: every record seals a segment.
-        JournalWriter writer{dir_, header, JournalWriter::Mode::fresh,
-                             JournalOptions{256}};
-        for (std::size_t c = 0; c < 5; ++c) writer.append_chunk(sample_chunk(c));
-        EXPECT_GE(writer.segments_sealed(), 4u);
-        writer.close();
+        // A threshold below one record: every record publishes its own batch.
+        BatchWriter writer{writer_options(dir_), 256};
+        for (std::size_t c = 0; c < 3; ++c) writer.append(sample_chunk(c));
+        EXPECT_EQ(writer.batches_published(), 3u);
+        EXPECT_EQ(writer.open_bytes(), 0u);
     }
-    std::size_t sealed = 0;
-    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-        const auto name = entry.path().filename().string();
-        EXPECT_TRUE(name.ends_with(".jsonl")) << name << " left unsealed after close()";
-        if (name.ends_with(".jsonl")) ++sealed;
+    {
+        // A large threshold: records accumulate until publish(); a gap in
+        // the chunk sequence closes the batch, so every batch is consecutive.
+        BatchWriter writer{writer_options(dir_), 1u << 20};
+        for (const std::size_t c : {3u, 4u, 5u, 8u, 9u}) writer.append(sample_chunk(c));
+        EXPECT_EQ(writer.batches_published(), 1u);  // 3-5, closed by the gap
+        EXPECT_GT(writer.open_bytes(), 0u);
+        writer.publish();
+        EXPECT_EQ(writer.batches_published(), 2u);
+        EXPECT_EQ(writer.records_published(), 5u);
     }
-    EXPECT_GE(sealed, 5u);
+    // Only published batches remain: no temp file survives a publish.
+    EXPECT_EQ(file_names(dir_),
+              (std::vector<std::string>{"chunks-00000-00000.rec", "chunks-00001-00001.rec",
+                                        "chunks-00002-00002.rec", "chunks-00003-00005.rec",
+                                        "chunks-00008-00009.rec"}));
 
-    const ReplayResult replay = replay_journal(dir_);
-    ASSERT_TRUE(replay.has_header);
-    EXPECT_TRUE(replay.header == header);
-    EXPECT_EQ(replay.torn_bytes_discarded, 0u);
-    ASSERT_EQ(replay.chunks.size(), 5u);
-    for (std::size_t c = 0; c < 5; ++c) {
-        EXPECT_EQ(replay.chunks[c].chunk_index, c);
-        EXPECT_EQ(replay.chunks[c].telemetry_snapshot, "counter scanner.connections 5\n");
+    const std::vector<BatchFile> batches = list_batches(dir_);
+    ASSERT_EQ(batches.size(), 5u);
+    std::size_t records = 0;
+    for (const BatchFile& batch : batches) {
+        const auto read = read_batch(batch);
+        ASSERT_TRUE(read.has_value()) << batch.path;
+        ASSERT_EQ(read->size(), batch.chunks());
+        for (std::size_t i = 0; i < read->size(); ++i) {
+            EXPECT_EQ((*read)[i].chunk_index, batch.first + i);
+            EXPECT_EQ((*read)[i].telemetry_snapshot, "counter scanner.connections 5\n");
+        }
+        records += read->size();
     }
+    EXPECT_EQ(records, 8u);
 }
 
 TEST_F(JournalTest, ReplayOfMissingOrEmptyDirectoryIsEmpty) {
-    const ReplayResult missing = replay_journal(dir_ / "nope");
-    EXPECT_FALSE(missing.has_header);
-    EXPECT_TRUE(missing.chunks.empty());
-    EXPECT_EQ(missing.torn_bytes_discarded, 0u);
+    EXPECT_TRUE(list_batches(dir_ / "nope").empty());
+    EXPECT_TRUE(replayable_batches(dir_ / "nope", 10).empty());
+    std::filesystem::create_directories(dir_);
+    EXPECT_TRUE(list_batches(dir_).empty());
+    const ScrubReport report = scrub_journal(dir_ / "nope");
+    EXPECT_TRUE(report.clean());
+    EXPECT_FALSE(report.has_header);
 }
 
 TEST_F(JournalTest, TornTailIsDetectedDiscardedAndRepaired) {
-    const CampaignHeader header = sample_header();
+    std::filesystem::create_directories(dir_);
     {
-        JournalWriter writer{dir_, header, JournalWriter::Mode::fresh};
-        for (std::size_t c = 0; c < 3; ++c) writer.append_chunk(sample_chunk(c));
+        BatchWriter writer{writer_options(dir_), 1u << 20};
+        for (std::size_t c = 0; c < 3; ++c) writer.append(sample_chunk(c));
+        writer.publish();
     }
-    // Reconstruct the crash state: the destructor sealed the segment, but a
-    // killed process leaves it under the .open name — rename it back and
-    // append half a framed record at the tail.
-    auto open_segment = dir_ / "segment-00000.jsonl.open";
-    std::filesystem::rename(dir_ / "segment-00000.jsonl", open_segment);
-    ASSERT_TRUE(std::filesystem::exists(open_segment));
-    const auto intact_size = std::filesystem::file_size(open_segment);
-    {
-        std::ofstream out{open_segment, std::ios::binary | std::ios::app};
-        const std::string torn = frame_record(serialize_chunk_record(sample_chunk(3)));
-        out << torn.substr(0, torn.size() / 2);
-    }
+    // A batch torn mid-record (a copy cut short, a disk that lied about the
+    // write) is still listed by name but reads as absent — as a whole.
+    const BatchFile batch = list_batches(dir_).at(0);
+    const std::string intact = read_file(batch.path);
+    write_file(batch.path, std::string_view{intact}.substr(0, intact.size() - 10));
+    EXPECT_FALSE(read_batch(batch).has_value());
 
-    const ReplayResult replay = replay_journal(dir_);
-    ASSERT_TRUE(replay.has_header);
-    EXPECT_EQ(replay.chunks.size(), 3u);
-    EXPECT_GT(replay.torn_bytes_discarded, 0u);
-
-    // Attach repairs the tail (write-temp + rename) and appends cleanly.
+    // Republishing the chunks repairs it: the rename replaces the torn file.
     {
-        JournalWriter writer{dir_, header, JournalWriter::Mode::attach};
-        EXPECT_EQ(std::filesystem::file_size(open_segment), intact_size);
-        writer.append_chunk(sample_chunk(3));
-        writer.close();
+        BatchWriter writer{writer_options(dir_), 1u << 20};
+        for (std::size_t c = 0; c < 3; ++c) writer.append(sample_chunk(c));
+        writer.publish();
     }
-    const ReplayResult repaired = replay_journal(dir_);
-    EXPECT_EQ(repaired.torn_bytes_discarded, 0u);
-    ASSERT_EQ(repaired.chunks.size(), 4u);
-    EXPECT_EQ(repaired.chunks[3].chunk_index, 3u);
+    EXPECT_EQ(read_file(batch.path), intact);
+    EXPECT_TRUE(read_batch(batch).has_value());
 }
 
-TEST_F(JournalTest, ChecksumCorruptionCutsReplayAtTheCorruptRecord) {
-    const CampaignHeader header = sample_header();
+TEST_F(JournalTest, ChecksumCorruptionInvalidatesTheWholeBatch) {
+    std::filesystem::create_directories(dir_);
     {
-        JournalWriter writer{dir_, header, JournalWriter::Mode::fresh};
-        for (std::size_t c = 0; c < 4; ++c) writer.append_chunk(sample_chunk(c));
-        writer.close();
+        BatchWriter writer{writer_options(dir_), 1u << 20};
+        for (std::size_t c = 0; c < 4; ++c) writer.append(sample_chunk(c));
+        writer.publish();
+        writer.append(sample_chunk(7));
+        writer.publish();
     }
-    const auto segment = dir_ / "segment-00000.jsonl";
-    ASSERT_TRUE(std::filesystem::exists(segment));
-    // Flip one payload byte in the middle of the file: the CRC of that
-    // record fails, and replay must stop THERE, keeping the prefix.
-    const auto size = std::filesystem::file_size(segment);
+    const auto batches = list_batches(dir_);
+    ASSERT_EQ(batches.size(), 2u);
+    // Flip one payload byte in the middle of the 4-record batch: no record
+    // of it replays, not even the intact ones before the damage.
+    const auto size = std::filesystem::file_size(batches[0].path);
     {
-        std::fstream file{segment, std::ios::binary | std::ios::in | std::ios::out};
+        std::fstream file{batches[0].path, std::ios::binary | std::ios::in | std::ios::out};
         file.seekp(static_cast<std::streamoff>(size / 2));
         file.put('\xff');
     }
-    const ReplayResult replay = replay_journal(dir_);
-    ASSERT_TRUE(replay.has_header);
-    EXPECT_LT(replay.chunks.size(), 4u);
-    EXPECT_GT(replay.torn_bytes_discarded, 0u);
-    for (std::size_t c = 0; c < replay.chunks.size(); ++c) {
-        EXPECT_EQ(replay.chunks[c].chunk_index, c);
-    }
+    EXPECT_FALSE(read_batch(batches[0]).has_value());
+    EXPECT_TRUE(read_batch(batches[1]).has_value());
 }
 
-TEST_F(JournalTest, AttachRejectsAForeignCampaignHeader) {
-    {
-        JournalWriter writer{dir_, sample_header(), JournalWriter::Mode::fresh};
-        writer.append_chunk(sample_chunk(0));
-        writer.close();
-    }
+TEST_F(JournalTest, InitRejectsAForeignOrUnreadableHeader) {
+    init_journal(dir_, sample_header(), /*wipe=*/true);
+    EXPECT_NO_THROW(init_journal(dir_, sample_header(), /*wipe=*/false));
     CampaignHeader other = sample_header();
     other.seed ^= 1;
-    EXPECT_THROW(JournalWriter(dir_, other, JournalWriter::Mode::attach),
-                 std::invalid_argument);
+    EXPECT_THROW(init_journal(dir_, other, /*wipe=*/false), std::invalid_argument);
+
+    // An unreadable header attributes nothing: refuse until scrubbed.
+    write_file(journal_header_path(dir_), "#rec 3 00000000\nabc");
+    EXPECT_THROW(init_journal(dir_, sample_header(), /*wipe=*/false), std::invalid_argument);
+    // A wipe makes the directory a fresh campaign's journal: no objection.
+    EXPECT_NO_THROW(init_journal(dir_, other, /*wipe=*/true));
+    EXPECT_NO_THROW(init_journal(dir_, other, /*wipe=*/false));
 }
 
 // --- Kill-and-resume byte-identity -------------------------------------------
@@ -271,6 +301,7 @@ struct SweepResult {
     std::vector<std::uint32_t> order;  ///< domain ids in sink order
     CampaignStats stats;
     std::string telemetry;  ///< telemetry::deterministic_csv
+    std::vector<std::size_t> scanned;  ///< chunks this pass scanned (not replayed)
 };
 
 void expect_same_stats(const CampaignStats& a, const CampaignStats& b) {
@@ -286,19 +317,44 @@ void expect_same_stats(const CampaignStats& a, const CampaignStats& b) {
     EXPECT_EQ(a.server_faults, b.server_faults);
 }
 
-SweepResult run_to_completion(const web::Population& population, const ScanOptions& options,
+SweepResult run_to_completion(const web::Population& population, ScanOptions options,
                               bool resume) {
+    SweepResult result;
+    std::mutex mu;
+    // The chunk fault hook fires once per chunk scan execution (workers and
+    // inline rescans alike), never for a replayed chunk.
+    options.chunk_fault_hook = [&, inner = options.chunk_fault_hook](std::size_t chunk) {
+        {
+            std::lock_guard<std::mutex> lock{mu};
+            result.scanned.push_back(chunk);
+        }
+        if (inner) inner(chunk);
+    };
     Campaign campaign{population, options};
     telemetry::MetricsRegistry registry;
     campaign.set_metrics(&registry);
-    SweepResult result;
     const auto sink = [&](const web::Domain& domain, DomainScan&& scan) {
         result.order.push_back(domain.id);
         result.stream += render_scan_stream(scan);
     };
     result.stats = resume ? campaign.resume(sink) : campaign.run(sink);
     result.telemetry = telemetry::deterministic_csv(registry);
+    std::sort(result.scanned.begin(), result.scanned.end());
     return result;
+}
+
+void expect_same_sweep(const SweepResult& got, const SweepResult& want,
+                       const std::string& label) {
+    EXPECT_EQ(got.order, want.order) << label;
+    EXPECT_EQ(got.stream, want.stream) << label;
+    EXPECT_EQ(got.telemetry, want.telemetry) << label;
+    expect_same_stats(got.stats, want.stats);
+}
+
+std::vector<std::size_t> chunk_range(std::size_t first, std::size_t end) {
+    std::vector<std::size_t> out;
+    for (std::size_t c = first; c < end; ++c) out.push_back(c);
+    return out;
 }
 
 /// Runs a journaled campaign and kills it (exception out of the sink) once
@@ -334,30 +390,38 @@ TEST_F(JournalTest, ResumeAfterKillAtEveryChunkBoundaryIsByteIdentical) {
         (domain_count + options.chunk_domains - 1) / options.chunk_domains;
     ASSERT_GE(chunk_count, 5u);
 
-    for (const unsigned threads : {1u, 2u, 8u}) {
-        for (std::size_t boundary = 0; boundary <= chunk_count; ++boundary) {
-            const auto journal_dir =
-                dir_ / ("boundary_" + std::to_string(threads) + "_" +
-                        std::to_string(boundary));
-            ScanOptions killed = options;
-            killed.threads = threads;
-            killed.journal_dir = journal_dir.string();
-            const std::uint64_t kill_after = boundary * options.chunk_domains;
-            const bool killed_early =
-                run_and_kill(population, killed, kill_after);
-            if (boundary < chunk_count) {
-                ASSERT_TRUE(killed_early);
-            }
+    // One chunk per batch, then about two: a kill loses exactly the
+    // unpublished batch, which resume rescans.
+    for (const std::size_t batch_bytes : {std::size_t{1}, std::size_t{40'000}}) {
+        for (const unsigned threads : {1u, 2u, 8u}) {
+            for (std::size_t boundary = 0; boundary <= chunk_count; ++boundary) {
+                const std::string label = "batch_bytes=" + std::to_string(batch_bytes) +
+                                          " threads=" + std::to_string(threads) +
+                                          " boundary=" + std::to_string(boundary);
+                const auto journal_dir =
+                    dir_ / ("boundary_" + std::to_string(batch_bytes) + "_" +
+                            std::to_string(threads) + "_" + std::to_string(boundary));
+                ScanOptions killed = options;
+                killed.threads = threads;
+                killed.journal_dir = journal_dir.string();
+                killed.journal_batch_bytes = batch_bytes;
+                const std::uint64_t kill_after = boundary * options.chunk_domains;
+                const bool killed_early = run_and_kill(population, killed, kill_after);
+                if (boundary < chunk_count) {
+                    ASSERT_TRUE(killed_early) << label;
+                }
 
-            const SweepResult resumed =
-                run_to_completion(population, killed, /*resume=*/true);
-            EXPECT_EQ(resumed.order, baseline.order)
-                << "threads=" << threads << " boundary=" << boundary;
-            EXPECT_EQ(resumed.stream, baseline.stream)
-                << "threads=" << threads << " boundary=" << boundary;
-            EXPECT_EQ(resumed.telemetry, baseline.telemetry)
-                << "threads=" << threads << " boundary=" << boundary;
-            expect_same_stats(resumed.stats, baseline.stats);
+                const SweepResult resumed =
+                    run_to_completion(population, killed, /*resume=*/true);
+                expect_same_sweep(resumed, baseline, label);
+                if (batch_bytes == 1) {
+                    // The kill fired merging chunk `boundary`, whose record
+                    // was already published: everything up to it replays.
+                    EXPECT_EQ(resumed.scanned,
+                              chunk_range(std::min(boundary + 1, chunk_count), chunk_count))
+                        << label;
+                }
+            }
         }
     }
 }
@@ -367,23 +431,18 @@ TEST_F(JournalTest, ResumeFromJournalTruncatedMidRecordIsByteIdentical) {
     ScanOptions options;
     const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
 
-    // A complete single-segment journal to truncate at hostile offsets.
+    // A complete single-batch journal to truncate at hostile offsets.
     const auto complete_dir = dir_ / "complete";
     ScanOptions journaled = options;
     journaled.journal_dir = complete_dir.string();
     (void)run_to_completion(population, journaled, /*resume=*/false);
-    const auto sealed = complete_dir / "segment-00000.jsonl";
-    ASSERT_TRUE(std::filesystem::exists(sealed));
-    std::string bytes;
-    {
-        std::ifstream in{sealed, std::ios::binary};
-        bytes.assign(std::istreambuf_iterator<char>{in},
-                     std::istreambuf_iterator<char>{});
-    }
+    const auto batches = list_batches(complete_dir);
+    ASSERT_EQ(batches.size(), 1u);
+    const std::string bytes = read_file(batches[0].path);
 
     // Truncation corpus: mid-header, mid-record, one byte short, and a few
-    // proportional cuts. Every prefix must resume to byte-identical output —
-    // a cut before the first intact record simply rescans everything.
+    // proportional cuts. A published batch cut anywhere is absent as a
+    // whole: every prefix resumes to byte-identical output by rescanning.
     const std::size_t offsets[] = {0,
                                    3,
                                    bytes.size() / 7,
@@ -394,20 +453,17 @@ TEST_F(JournalTest, ResumeFromJournalTruncatedMidRecordIsByteIdentical) {
     for (const std::size_t offset : offsets) {
         const auto trunc_dir = dir_ / ("trunc_" + std::to_string(offset));
         std::filesystem::create_directories(trunc_dir);
-        {
-            // The truncated copy is written under the OPEN name — a sealed
-            // segment is by definition complete, a crash tears the open one.
-            std::ofstream out{trunc_dir / "segment-00000.jsonl.open",
-                              std::ios::binary | std::ios::trunc};
-            out.write(bytes.data(), static_cast<std::streamsize>(offset));
-        }
+        std::filesystem::copy_file(journal_header_path(complete_dir),
+                                   journal_header_path(trunc_dir));
+        write_file(trunc_dir / batches[0].path.filename(),
+                   std::string_view{bytes}.substr(0, offset));
         ScanOptions resume_options = options;
         resume_options.journal_dir = trunc_dir.string();
         const SweepResult resumed =
             run_to_completion(population, resume_options, /*resume=*/true);
-        EXPECT_EQ(resumed.stream, baseline.stream) << "offset=" << offset;
-        EXPECT_EQ(resumed.telemetry, baseline.telemetry) << "offset=" << offset;
-        expect_same_stats(resumed.stats, baseline.stats);
+        expect_same_sweep(resumed, baseline, "offset=" + std::to_string(offset));
+        EXPECT_EQ(resumed.scanned, chunk_range(0, batches[0].chunks()))
+            << "offset=" << offset;
     }
 }
 
@@ -416,16 +472,9 @@ TEST_F(JournalTest, ResumeOfCompleteJournalRescansNothing) {
     ScanOptions options;
     options.journal_dir = (dir_ / "full").string();
     const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
-
-    std::atomic<std::size_t> chunks_scanned{0};
-    ScanOptions resume_options = options;
-    resume_options.chunk_fault_hook = [&](std::size_t) { ++chunks_scanned; };
-    const SweepResult resumed =
-        run_to_completion(population, resume_options, /*resume=*/true);
-    EXPECT_EQ(chunks_scanned.load(), 0u) << "a complete journal must replay, not rescan";
-    EXPECT_EQ(resumed.stream, baseline.stream);
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry);
-    expect_same_stats(resumed.stats, baseline.stats);
+    const SweepResult resumed = run_to_completion(population, options, /*resume=*/true);
+    EXPECT_TRUE(resumed.scanned.empty()) << "a complete journal must replay, not rescan";
+    expect_same_sweep(resumed, baseline, "complete");
 }
 
 TEST_F(JournalTest, ResumeRejectsMismatchedCampaignOptions) {
@@ -444,6 +493,96 @@ TEST_F(JournalTest, ResumeRejectsMismatchedCampaignOptions) {
     Campaign without{population, no_journal};
     EXPECT_THROW((void)without.resume([](const web::Domain&, DomainScan&&) {}),
                  std::invalid_argument);
+}
+
+// --- Hostile batch files -----------------------------------------------------
+//
+// Each case forges a batch a writer would never publish. Resume must rescan
+// exactly the chunks the forgery leaves uncovered and still match an
+// uninterrupted run byte for byte.
+
+/// A complete journal with one batch per chunk, and its fault-free output.
+SweepResult one_batch_per_chunk(const web::Population& population, ScanOptions& options,
+                                const std::filesystem::path& dir) {
+    options.journal_dir = dir.string();
+    options.journal_batch_bytes = 1;
+    return run_to_completion(population, options, /*resume=*/false);
+}
+
+TEST_F(JournalTest, BatchWhoseRecordsNameOtherChunksIsRescanned) {
+    const web::Population population = tiny_population();
+    ScanOptions options;
+    const SweepResult baseline = one_batch_per_chunk(population, options, dir_ / "named");
+    // chunks-00002-00002.rec now holds chunk 3's (intact, CRC-valid) record.
+    write_file(batch_path(options.journal_dir, 2, 2),
+               read_file(batch_path(options.journal_dir, 3, 3)));
+
+    const SweepResult resumed = run_to_completion(population, options, /*resume=*/true);
+    expect_same_sweep(resumed, baseline, "misnamed");
+    EXPECT_EQ(resumed.scanned, (std::vector<std::size_t>{2}));
+}
+
+TEST_F(JournalTest, OverlappingBatchesReplayOnceAndRescanTheRest) {
+    const web::Population population = tiny_population();
+    ScanOptions options;
+    const SweepResult baseline = one_batch_per_chunk(population, options, dir_ / "overlap");
+    const std::filesystem::path dir = options.journal_dir;
+    // Forge chunks 1-3 and 2-4 out of the single-chunk batches, then drop
+    // the singles they were made of. The batch starting first wins; the
+    // other is ignored, so chunk 4 is covered by nothing and is rescanned.
+    std::string one_to_three;
+    std::string two_to_four;
+    for (std::size_t c = 1; c <= 4; ++c) {
+        const std::string bytes = read_file(batch_path(dir, c, c));
+        if (c <= 3) one_to_three += bytes;
+        if (c >= 2) two_to_four += bytes;
+        std::filesystem::remove(batch_path(dir, c, c));
+    }
+    write_file(batch_path(dir, 1, 3), one_to_three);
+    write_file(batch_path(dir, 2, 4), two_to_four);
+    const std::size_t chunk_count = list_batches(dir).back().last + 1;
+    const auto replayable = replayable_batches(dir, chunk_count);
+    ASSERT_EQ(replayable.size(), chunk_count - 3);  // 0, 1-3, 5, 6, ...
+    EXPECT_EQ(replayable[1].last, 3u);
+
+    const SweepResult resumed = run_to_completion(population, options, /*resume=*/true);
+    expect_same_sweep(resumed, baseline, "overlap");
+    EXPECT_EQ(resumed.scanned, (std::vector<std::size_t>{4}));
+}
+
+TEST_F(JournalTest, ScrubAndFreshRunRemoveTempFilesOfKilledWriters) {
+    const web::Population population = tiny_population();
+    ScanOptions options;
+    options.journal_dir = (dir_ / "temps").string();
+    const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
+    const std::filesystem::path dir = options.journal_dir;
+
+    // A killed writer's temp file (dead pid) holding an intact, CRC-valid
+    // record that contradicts the journal: chunk 0 with no scans at all.
+    // Reading it anywhere would change the output.
+    ChunkRecord bogus;
+    bogus.chunk_index = 0;
+    const std::string temp_bytes = frame_record(serialize_chunk_record(bogus));
+    const auto temp = dir / "chunks-00000-00000.rec.tmp.999999999.3";
+    write_file(temp, temp_bytes);
+
+    const SweepResult resumed = run_to_completion(population, options, /*resume=*/true);
+    expect_same_sweep(resumed, baseline, "temp never read");
+    EXPECT_TRUE(resumed.scanned.empty());
+
+    ScrubOptions dry;
+    dry.repair = false;
+    EXPECT_EQ(scrub_journal(dir, dry).stale_temps, 1u);
+    EXPECT_TRUE(std::filesystem::exists(temp));
+    const ScrubReport report = scrub_journal(dir);
+    EXPECT_TRUE(report.clean());
+    EXPECT_EQ(report.stale_temps, 1u);
+    EXPECT_FALSE(std::filesystem::exists(temp));
+
+    write_file(temp, temp_bytes);
+    const SweepResult fresh = run_to_completion(population, options, /*resume=*/false);
+    expect_same_sweep(fresh, baseline, "fresh run");
+    EXPECT_FALSE(std::filesystem::exists(temp));
 }
 
 // --- Worker supervision ------------------------------------------------------
@@ -567,10 +706,10 @@ TEST(RunSupervisedTest, MergeExceptionStillCancelsAndRethrows) {
 // --- Scrub: offline verify / repair (DESIGN.md §16) --------------------------
 //
 // The corruption corpus: each case damages a journal in a distinct way, then
-// asserts that scrub_journal classifies the damage correctly, repairs or
-// quarantines it (never deletes bytes), and that a resume over the scrubbed
-// journal is byte-identical to an uninterrupted run — the no-silent-
-// corruption invariant end to end.
+// asserts that scrub_journal classifies the damage correctly, quarantines it
+// (never deletes bytes), and that a resume over the scrubbed journal is
+// byte-identical to an uninterrupted run — the no-silent-corruption
+// invariant end to end.
 
 TEST_F(JournalTest, ScrubOfCleanJournalFindsNothing) {
     const web::Population population = tiny_population();
@@ -582,14 +721,14 @@ TEST_F(JournalTest, ScrubOfCleanJournalFindsNothing) {
     EXPECT_TRUE(report.clean());
     EXPECT_TRUE(report.has_header);
     EXPECT_EQ(report.bytes_discarded, 0u);
+    EXPECT_EQ(report.batches_checked, 1u);
     EXPECT_GE(report.chunks_intact, 5u);
-    EXPECT_EQ(report.resume_from_chunk, report.chunks_intact);
+    EXPECT_TRUE(report.chunks_to_rescan.empty());
     EXPECT_FALSE(std::filesystem::exists(std::filesystem::path{options.journal_dir} /
                                          "corrupt"));
 
     const SweepResult resumed = run_to_completion(population, options, /*resume=*/true);
-    EXPECT_EQ(resumed.stream, baseline.stream);
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry);
+    expect_same_sweep(resumed, baseline, "clean");
 }
 
 TEST_F(JournalTest, ScrubClassifiesHeaderCorruptionAndQuarantinesEverything) {
@@ -598,59 +737,52 @@ TEST_F(JournalTest, ScrubClassifiesHeaderCorruptionAndQuarantinesEverything) {
     options.journal_dir = (dir_ / "hdr").string();
     const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
 
-    // Garble the frame marker of record 0: the campaign header no longer
-    // parses, so NOTHING in the journal can be attributed to a campaign.
-    const auto segment = std::filesystem::path{options.journal_dir} / "segment-00000.jsonl";
-    ASSERT_TRUE(std::filesystem::exists(segment));
+    // Garble the frame marker of the header: it no longer parses, so NOTHING
+    // in the journal can be attributed to a campaign.
+    const auto header = journal_header_path(options.journal_dir);
     {
-        std::fstream file{segment, std::ios::binary | std::ios::in | std::ios::out};
+        std::fstream file{header, std::ios::binary | std::ios::in | std::ios::out};
         file.write("XXXX", 4);
     }
+    // Resume refuses an unattributable journal until it is scrubbed.
+    Campaign refused{population, options};
+    EXPECT_THROW((void)refused.resume([](const web::Domain&, DomainScan&&) {}),
+                 std::invalid_argument);
 
     const ScrubReport report = scrub_journal(options.journal_dir);
-    ASSERT_FALSE(report.clean());
+    ASSERT_EQ(report.findings.size(), 2u);  // the header, then its one batch
     EXPECT_FALSE(report.has_header);
     EXPECT_EQ(report.findings[0].damage, ScrubDamage::header_corrupt);
+    EXPECT_EQ(report.findings[1].damage, ScrubDamage::corrupt_batch);
     EXPECT_TRUE(report.findings[0].quarantined);
     EXPECT_EQ(report.chunks_intact, 0u);
-    EXPECT_EQ(report.resume_from_chunk, 0u);
     EXPECT_GT(report.bytes_discarded, 0u);
-    // Quarantined, never deleted: the damaged segment lives under corrupt/.
-    EXPECT_TRUE(std::filesystem::exists(std::filesystem::path{options.journal_dir} /
-                                        "corrupt" / "segment-00000.jsonl"));
-    EXPECT_FALSE(std::filesystem::exists(segment));
+    // Quarantined, never deleted: the damaged files live under corrupt/.
+    const auto corrupt = std::filesystem::path{options.journal_dir} / "corrupt";
+    EXPECT_TRUE(std::filesystem::exists(corrupt / "header.rec"));
+    EXPECT_TRUE(std::filesystem::exists(corrupt / report.findings[1].file));
+    EXPECT_FALSE(std::filesystem::exists(header));
+    EXPECT_TRUE(list_batches(options.journal_dir).empty());
 
     // Resume over the emptied journal rescans everything — byte-identical.
     const SweepResult resumed = run_to_completion(population, options, /*resume=*/true);
-    EXPECT_EQ(resumed.stream, baseline.stream);
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry);
-    expect_same_stats(resumed.stats, baseline.stats);
+    expect_same_sweep(resumed, baseline, "header");
 }
 
-TEST_F(JournalTest, ScrubClassifiesBitFlipInASealedSegmentAsMidSegmentCorruption) {
+TEST_F(JournalTest, ScrubQuarantinesABitFlippedBatchAndResumeIsIdentical) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "flip").string();
-    options.journal_segment_bytes = 1024;  // force several sealed segments
+    options.journal_batch_bytes = 1024;  // one batch per chunk
     const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
 
-    std::vector<std::filesystem::path> sealed;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(options.journal_dir)) {
-        if (entry.path().filename().string().ends_with(".jsonl")) {
-            sealed.push_back(entry.path());
-        }
-    }
-    std::sort(sealed.begin(), sealed.end());
-    ASSERT_GE(sealed.size(), 3u);
-
-    // Flip one payload byte in the MIDDLE sealed segment: records after it
-    // are intact on disk but behind the damage in the prefix order.
-    const auto& victim = sealed[1];
-    const auto size = std::filesystem::file_size(victim);
+    const auto batches = list_batches(options.journal_dir);
+    ASSERT_GE(batches.size(), 3u);
+    // Flip one payload bit in the MIDDLE batch.
+    const auto& victim = batches[1];
+    const auto size = std::filesystem::file_size(victim.path);
     {
-        std::fstream file{victim, std::ios::binary | std::ios::in | std::ios::out};
-        file.seekp(static_cast<std::streamoff>(size / 2));
+        std::fstream file{victim.path, std::ios::binary | std::ios::in | std::ios::out};
         char byte = 0;
         file.seekg(static_cast<std::streamoff>(size / 2));
         file.get(byte);
@@ -659,78 +791,69 @@ TEST_F(JournalTest, ScrubClassifiesBitFlipInASealedSegmentAsMidSegmentCorruption
     }
 
     const ScrubReport report = scrub_journal(options.journal_dir);
-    ASSERT_FALSE(report.clean());
-    EXPECT_EQ(report.findings[0].damage, ScrubDamage::mid_segment_corruption);
+    ASSERT_EQ(report.findings.size(), 1u);
+    EXPECT_EQ(report.findings[0].damage, ScrubDamage::corrupt_batch);
+    EXPECT_EQ(report.findings[0].file, victim.path.filename().string());
     EXPECT_TRUE(report.findings[0].quarantined);
-    EXPECT_GT(report.bytes_discarded, 0u);
-    EXPECT_GE(report.chunks_intact, 1u);  // segment 0's records survive
-    EXPECT_EQ(report.resume_from_chunk, report.chunks_intact);
+    EXPECT_EQ(report.bytes_discarded, size);
+    EXPECT_EQ(report.chunks_intact, batches.size() - 1);
+    EXPECT_EQ(report.chunks_to_rescan, (std::vector<std::size_t>{1}));
     EXPECT_TRUE(std::filesystem::exists(std::filesystem::path{options.journal_dir} /
                                         "corrupt" / "scrub.report"));
 
     const SweepResult resumed = run_to_completion(population, options, /*resume=*/true);
-    EXPECT_EQ(resumed.stream, baseline.stream);
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry);
-    expect_same_stats(resumed.stats, baseline.stats);
+    expect_same_sweep(resumed, baseline, "flip");
+    EXPECT_EQ(resumed.scanned, (std::vector<std::size_t>{1}));
 }
 
-TEST_F(JournalTest, ScrubClassifiesADeletedMiddleSegmentAndResumes) {
+TEST_F(JournalTest, ADeletedMiddleBatchIsRescannedOnResume) {
     const web::Population population = tiny_population();
     ScanOptions options;
     options.journal_dir = (dir_ / "gap").string();
-    options.journal_segment_bytes = 1024;
+    options.journal_batch_bytes = 1024;
     const SweepResult baseline = run_to_completion(population, options, /*resume=*/false);
 
-    const auto missing =
-        std::filesystem::path{options.journal_dir} / "segment-00001.jsonl";
-    ASSERT_TRUE(std::filesystem::exists(missing));
-    std::filesystem::remove(missing);
-
-    const ScrubReport report = scrub_journal(options.journal_dir);
-    ASSERT_FALSE(report.clean());
-    EXPECT_EQ(report.findings[0].damage, ScrubDamage::missing_segment);
-    EXPECT_GE(report.chunks_intact, 1u);
-    EXPECT_EQ(report.resume_from_chunk, report.chunks_intact);
+    ASSERT_TRUE(std::filesystem::remove(batch_path(options.journal_dir, 1, 1)));
+    // A missing batch is work nobody finished, not damage: scrub is clean.
+    EXPECT_TRUE(scrub_journal(options.journal_dir).clean());
 
     const SweepResult resumed = run_to_completion(population, options, /*resume=*/true);
-    EXPECT_EQ(resumed.stream, baseline.stream);
-    EXPECT_EQ(resumed.telemetry, baseline.telemetry);
-    expect_same_stats(resumed.stats, baseline.stats);
+    expect_same_sweep(resumed, baseline, "gap");
+    EXPECT_EQ(resumed.scanned, (std::vector<std::size_t>{1}));
+    EXPECT_TRUE(std::filesystem::exists(batch_path(options.journal_dir, 1, 1)))
+        << "the rescanned chunk is published again";
 }
 
 TEST_F(JournalTest, ScrubQuarantinesAMapChunkThatFramesButFailsCrc) {
-    // Map layout: publish a header and three chunks, then rewrite chunk 1
-    // with a frame whose declared CRC does not match its payload.
+    // Single-chunk batches, as the --procs map pass publishes for
+    // quarantined chunks: rewrite chunk 1's with a frame whose declared CRC
+    // does not match its payload.
     const CampaignHeader header = sample_header();
-    init_map_journal(dir_, header, /*wipe=*/true);
-    for (std::size_t c = 0; c < 3; ++c) {
-        ASSERT_TRUE(write_map_chunk(dir_, sample_chunk(c)));
-    }
-    const std::string payload = serialize_chunk_record(sample_chunk(1));
-    std::string framed = frame_record(payload);
-    framed[framed.size() - 1] ^= 0x01;  // parses as a frame, fails the CRC
+    init_journal(dir_, header, /*wipe=*/true);
     {
-        std::ofstream out{map_chunk_path(dir_, 1), std::ios::binary | std::ios::trunc};
-        out << framed;
+        BatchWriter writer{writer_options(dir_), 1};
+        for (std::size_t c = 0; c < 3; ++c) writer.append(sample_chunk(c));
     }
-    ASSERT_FALSE(read_map_chunk(dir_, 1).has_value());
+    std::string framed = frame_record(serialize_chunk_record(sample_chunk(1)));
+    framed[framed.size() - 1] ^= 0x01;  // parses as a frame, fails the CRC
+    write_file(batch_path(dir_, 1, 1), framed);
+    ASSERT_FALSE(read_batch(list_batches(dir_).at(1)).has_value());
 
     const ScrubReport report = scrub_journal(dir_);
-    ASSERT_FALSE(report.clean());
     ASSERT_EQ(report.findings.size(), 1u);
-    EXPECT_EQ(report.findings[0].damage, ScrubDamage::corrupt_map_chunk);
+    EXPECT_EQ(report.findings[0].damage, ScrubDamage::corrupt_batch);
     EXPECT_TRUE(report.findings[0].quarantined);
-    ASSERT_EQ(report.chunks_to_rescan.size(), 1u);
-    EXPECT_EQ(report.chunks_to_rescan[0], 1u);
+    EXPECT_EQ(report.chunks_to_rescan, (std::vector<std::size_t>{1}));
     EXPECT_EQ(report.chunks_intact, 2u);
     EXPECT_TRUE(report.has_header);
-    // The corrupt record is preserved under corrupt/, not deleted, and the
-    // live directory no longer lists it — the reducer will rescan chunk 1.
-    EXPECT_FALSE(std::filesystem::exists(map_chunk_path(dir_, 1)));
-    EXPECT_TRUE(std::filesystem::exists(dir_ / "corrupt" / "chunk-00001.rec"));
-    const MapReplayResult replay = read_map_journal(dir_);
-    EXPECT_EQ(replay.chunks.size(), 2u);
-    EXPECT_EQ(replay.corrupt_chunks, 0u);
+    EXPECT_TRUE(report.header == header);
+    // The corrupt batch is preserved under corrupt/, not deleted, and the
+    // live directory no longer lists it — resume will rescan chunk 1.
+    EXPECT_FALSE(std::filesystem::exists(batch_path(dir_, 1, 1)));
+    EXPECT_TRUE(std::filesystem::exists(dir_ / "corrupt" / "chunks-00001-00001.rec"));
+    EXPECT_EQ(list_batches(dir_).size(), 2u);
+    EXPECT_NE(report.render().find("resume rescans chunk(s) 1\n"), std::string::npos)
+        << report.render();
 }
 
 TEST_F(JournalTest, ScrubWithoutRepairOnlyClassifies) {
@@ -739,10 +862,10 @@ TEST_F(JournalTest, ScrubWithoutRepairOnlyClassifies) {
     options.journal_dir = (dir_ / "dry").string();
     (void)run_to_completion(population, options, /*resume=*/false);
 
-    const auto segment = std::filesystem::path{options.journal_dir} / "segment-00000.jsonl";
-    const auto size = std::filesystem::file_size(segment);
+    const auto batch = list_batches(options.journal_dir).at(0);
+    const auto size = std::filesystem::file_size(batch.path);
     {
-        std::fstream file{segment, std::ios::binary | std::ios::in | std::ios::out};
+        std::fstream file{batch.path, std::ios::binary | std::ios::in | std::ios::out};
         file.seekp(static_cast<std::streamoff>(size - 4));
         file.put('\xff');
     }
@@ -752,11 +875,15 @@ TEST_F(JournalTest, ScrubWithoutRepairOnlyClassifies) {
     const ScrubReport report = scrub_journal(options.journal_dir, dry);
     ASSERT_FALSE(report.clean());
     for (const ScrubFinding& finding : report.findings) {
-        EXPECT_FALSE(finding.repaired);
         EXPECT_FALSE(finding.quarantined);
     }
+    // The whole batch is rescanned, reported as one run of chunks.
+    EXPECT_NE(report.render().find("resume rescans chunk(s) 0-" + std::to_string(batch.last) +
+                                   "\n"),
+              std::string::npos)
+        << report.render();
     // Dry run: the damaged bytes are untouched and nothing was quarantined.
-    EXPECT_EQ(std::filesystem::file_size(segment), size);
+    EXPECT_EQ(std::filesystem::file_size(batch.path), size);
     EXPECT_FALSE(std::filesystem::exists(std::filesystem::path{options.journal_dir} /
                                          "corrupt"));
 }

@@ -1,14 +1,15 @@
 // Multi-process campaign suite (DESIGN.md §13): chunk leases and fencing
-// tokens, the map-layout journal, journal.lock ownership, the fork-based
-// worker pool, and the chaos kill-sweep.
+// tokens, batch files published by racing workers, journal.lock ownership,
+// the fork-based worker pool, and the chaos kill-sweep.
 //
 // The contract under test: `kill -9` of any worker at any instant changes
-// nothing about the output — Campaign::reduce over the shared map journal
+// nothing about the output — Campaign::resume over the shared journal
 // produces sink streams, stats and deterministic telemetry byte-identical to
 // a single-process Campaign::run, at every worker and thread count.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
@@ -110,7 +111,7 @@ ProcPoolOptions fast_pool(unsigned procs) {
     return pool;
 }
 
-/// One full multi-process pass: run_procs over the map journal, then reduce.
+/// One full multi-process pass: run_procs over the journal, then resume.
 /// `report`/`registry_csv` outputs are optional observability taps.
 SweepResult run_multi_process(const web::Population& population,
                               const ScanOptions& options,
@@ -125,7 +126,7 @@ SweepResult run_multi_process(const web::Population& population,
     const ProcPoolReport report = run_procs(campaign, pool);
     if (report_out != nullptr) *report_out = report;
     SweepResult result;
-    result.stats = campaign.reduce([&](const web::Domain& domain, DomainScan&& scan) {
+    result.stats = campaign.resume([&](const web::Domain& domain, DomainScan&& scan) {
         result.order.push_back(domain.id);
         result.stream += render_scan_stream(scan);
     });
@@ -196,71 +197,86 @@ TEST_F(ProcPoolTest, LeaseClaimIsExclusiveAndReleaseIsTokenFenced) {
     EXPECT_FALSE(std::filesystem::exists(lease_path(dir_, 9)));
 }
 
-// --- Map-layout journal ------------------------------------------------------
+// --- Batch files from racing workers ---------------------------------------
+
+ChunkRecord tiny_record(std::size_t chunk) {
+    ChunkRecord record;
+    record.chunk_index = chunk;
+    DomainScan scan;
+    scan.domain_id = static_cast<std::uint32_t>(10 + chunk);
+    scan.resolved = true;
+    record.scans.push_back(std::move(scan));
+    record.telemetry_snapshot = "counter x " + std::to_string(chunk) + "\n";
+    return record;
+}
+
+/// Publishes chunks first..last as one batch, the way one worker publishes
+/// its lease batch.
+void publish_batch(const std::filesystem::path& dir, std::size_t first, std::size_t last) {
+    ScanOptions options;
+    options.journal_dir = dir.string();
+    BatchWriter writer{options, std::size_t{1} << 30};
+    for (std::size_t c = first; c <= last; ++c) writer.append(tiny_record(c));
+    writer.publish();
+}
 
 TEST_F(ProcPoolTest, MapJournalRoundTripsChunksInAnyPublishOrder) {
-    const CampaignHeader header = sample_header();
     const auto map_dir = dir_ / "map";
-    init_map_journal(map_dir, header, /*wipe=*/true);
-
+    init_journal(map_dir, sample_header(), /*wipe=*/true);
     // Publish out of order, as racing workers do.
-    for (const std::size_t c : {4u, 0u, 2u}) {
-        ChunkRecord record;
-        record.chunk_index = c;
-        DomainScan scan;
-        scan.domain_id = static_cast<std::uint32_t>(10 + c);
-        scan.resolved = true;
-        record.scans.push_back(std::move(scan));
-        record.telemetry_snapshot = "counter x " + std::to_string(c) + "\n";
-        ASSERT_TRUE(write_map_chunk(map_dir, record));
+    publish_batch(map_dir, 4, 5);
+    publish_batch(map_dir, 0, 1);
+    publish_batch(map_dir, 2, 2);
+
+    const std::vector<BatchFile> batches = replayable_batches(map_dir, 7);
+    ASSERT_EQ(batches.size(), 3u);
+    std::vector<std::size_t> chunks;
+    for (const BatchFile& batch : batches) {
+        const auto records = read_batch(batch);
+        ASSERT_TRUE(records.has_value()) << batch.path;
+        for (const ChunkRecord& record : *records) {
+            chunks.push_back(record.chunk_index);
+            EXPECT_EQ(record.telemetry_snapshot,
+                      "counter x " + std::to_string(record.chunk_index) + "\n");
+        }
     }
-
-    const MapReplayResult replay = read_map_journal(map_dir);
-    ASSERT_TRUE(replay.has_header);
-    EXPECT_TRUE(replay.header == header);
-    EXPECT_EQ(replay.corrupt_chunks, 0u);
-    ASSERT_EQ(replay.chunks.size(), 3u);
-    EXPECT_EQ(replay.chunks[0].chunk_index, 0u);
-    EXPECT_EQ(replay.chunks[1].chunk_index, 2u);
-    EXPECT_EQ(replay.chunks[2].chunk_index, 4u);
-
-    EXPECT_TRUE(read_map_chunk(map_dir, 2).has_value());
-    EXPECT_FALSE(read_map_chunk(map_dir, 3).has_value());
+    EXPECT_EQ(chunks, (std::vector<std::size_t>{0, 1, 2, 4, 5}));
+    // A batch past the campaign's last chunk is never replayed.
+    EXPECT_EQ(replayable_batches(map_dir, 5).size(), 2u);
 }
 
 TEST_F(ProcPoolTest, MapJournalTreatsCorruptRecordsAsUnscanned) {
     const auto map_dir = dir_ / "map";
-    init_map_journal(map_dir, sample_header(), /*wipe=*/true);
-    ChunkRecord record;
-    record.chunk_index = 1;
-    ASSERT_TRUE(write_map_chunk(map_dir, record));
+    init_journal(map_dir, sample_header(), /*wipe=*/true);
+    publish_batch(map_dir, 0, 3);
 
-    // Flip a payload byte: the frame CRC fails, the chunk reads as absent.
-    const auto path = map_chunk_path(map_dir, 1);
-    const auto size = std::filesystem::file_size(path);
+    // Flip a payload byte: the frame CRC fails, and the whole batch reads as
+    // absent — resume rescans all four chunks, not just the damaged one.
+    const BatchFile batch = list_batches(map_dir).at(0);
+    const auto size = std::filesystem::file_size(batch.path);
     {
-        std::fstream file{path, std::ios::binary | std::ios::in | std::ios::out};
+        std::fstream file{batch.path, std::ios::binary | std::ios::in | std::ios::out};
         file.seekp(static_cast<std::streamoff>(size - 1));
         file.put('\xff');
     }
-    EXPECT_FALSE(read_map_chunk(map_dir, 1).has_value());
-    const MapReplayResult replay = read_map_journal(map_dir);
-    EXPECT_TRUE(replay.chunks.empty());
-    EXPECT_EQ(replay.corrupt_chunks, 1u);
+    EXPECT_FALSE(read_batch(batch).has_value());
+    EXPECT_EQ(replayable_batches(map_dir, 7).size(), 1u) << "presence is listed";
 }
 
 TEST_F(ProcPoolTest, MapJournalInitRejectsAForeignHeaderWithoutWipe) {
     const auto map_dir = dir_ / "map";
-    init_map_journal(map_dir, sample_header(), /*wipe=*/true);
+    init_journal(map_dir, sample_header(), /*wipe=*/true);
+    publish_batch(map_dir, 0, 1);
+    ASSERT_TRUE(claim_lease(map_dir, ChunkLease{2, 1, 7, 0}));
     CampaignHeader other = sample_header();
     other.seed ^= 1;
-    EXPECT_THROW(init_map_journal(map_dir, other, /*wipe=*/false),
-                 std::invalid_argument);
-    // A wipe makes it a fresh campaign's journal: no objection.
-    init_map_journal(map_dir, other, /*wipe=*/true);
-    const MapReplayResult replay = read_map_journal(map_dir);
-    ASSERT_TRUE(replay.has_header);
-    EXPECT_TRUE(replay.header == other);
+    EXPECT_THROW(init_journal(map_dir, other, /*wipe=*/false), std::invalid_argument);
+    // A wipe makes it a fresh campaign's journal: no objection, and nothing
+    // of the old campaign survives.
+    init_journal(map_dir, other, /*wipe=*/true);
+    EXPECT_TRUE(list_batches(map_dir).empty());
+    EXPECT_FALSE(std::filesystem::exists(lease_path(map_dir, 2)));
+    EXPECT_NO_THROW(init_journal(map_dir, other, /*wipe=*/false));
 }
 
 // --- journal.lock ------------------------------------------------------------
@@ -283,7 +299,7 @@ TEST_F(ProcPoolTest, CampaignsRefuseAJournalDirLockedByALiveProcess) {
     } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string{e.what()}.find("in use"), std::string::npos) << e.what();
     }
-    EXPECT_THROW((void)campaign.reduce(sink), std::runtime_error);
+    EXPECT_THROW((void)campaign.resume(sink), std::runtime_error);
 #ifndef _WIN32
     EXPECT_THROW((void)run_procs(campaign, fast_pool(1)), std::runtime_error);
 #endif
@@ -346,7 +362,7 @@ TEST_F(ProcPoolTest, ReducedSweepDeliversEagerPopulationBytes) {
         (void)run_procs(campaign, fast_pool(procs));
         SweepResult reduced;
         std::size_t byte_identical = 0;
-        reduced.stats = campaign.reduce([&](const web::Domain& domain, DomainScan&& scan) {
+        reduced.stats = campaign.resume([&](const web::Domain& domain, DomainScan&& scan) {
             if (std::memcmp(&domain, &population.domains()[domain.id],
                             sizeof(web::Domain)) == 0) {
                 ++byte_identical;
@@ -372,7 +388,7 @@ TEST_F(ProcPoolTest, ReduceOfAnEmptyJournalDegeneratesToAFullScan) {
     telemetry::MetricsRegistry registry;
     campaign.set_metrics(&registry);
     SweepResult reduced;
-    reduced.stats = campaign.reduce([&](const web::Domain& domain, DomainScan&& scan) {
+    reduced.stats = campaign.resume([&](const web::Domain& domain, DomainScan&& scan) {
         reduced.order.push_back(domain.id);
         reduced.stream += render_scan_stream(scan);
     });
@@ -391,13 +407,16 @@ TEST_F(ProcPoolTest, ReduceRescansDeletedChunksAndIsRerunnable) {
     telemetry::MetricsRegistry registry;
     campaign.set_metrics(&registry);
     (void)run_procs(campaign, fast_pool(2));
-    // Simulate lost records (e.g. chunks a crashed campaign never scanned).
-    ASSERT_TRUE(std::filesystem::remove(map_chunk_path(options.journal_dir, 1)));
-    ASSERT_TRUE(std::filesystem::remove(map_chunk_path(options.journal_dir, 5)));
+    // Simulate lost batches (e.g. ones a crashed campaign never published).
+    for (const BatchFile& batch : list_batches(options.journal_dir)) {
+        if ((batch.first <= 1 && 1 <= batch.last) || (batch.first <= 5 && 5 <= batch.last)) {
+            ASSERT_TRUE(std::filesystem::remove(batch.path));
+        }
+    }
 
     const auto collect = [](Campaign& c, SweepResult& out,
                             telemetry::MetricsRegistry& reg) {
-        out.stats = c.reduce([&](const web::Domain& domain, DomainScan&& scan) {
+        out.stats = c.resume([&](const web::Domain& domain, DomainScan&& scan) {
             out.order.push_back(domain.id);
             out.stream += render_scan_stream(scan);
         });
@@ -407,15 +426,19 @@ TEST_F(ProcPoolTest, ReduceRescansDeletedChunksAndIsRerunnable) {
     collect(campaign, first, registry);
     expect_same_sweep(first, baseline, "reduce-with-gaps");
 
-    // The rescan republished chunks 1 and 5: a second reduce (a reducer
-    // killed after publishing but before finishing, then rerun) replays
-    // everything without rescanning and matches byte-for-byte.
-    Campaign again{population, options};
+    // The rescan republished the lost chunks: a second resume (one killed
+    // after publishing but before finishing, then rerun) replays everything
+    // without rescanning and matches byte-for-byte.
+    ScanOptions counted = options;
+    std::atomic<std::size_t> rescanned{0};
+    counted.chunk_fault_hook = [&](std::size_t) { ++rescanned; };
+    Campaign again{population, counted};
     telemetry::MetricsRegistry registry2;
     again.set_metrics(&registry2);
     SweepResult second;
     collect(again, second, registry2);
     expect_same_sweep(second, baseline, "reduce-rerun");
+    EXPECT_EQ(rescanned.load(), 0u);
 }
 
 // --- Chaos kill-sweep --------------------------------------------------------
@@ -528,7 +551,7 @@ TEST_F(ProcPoolTest, ChunkThatKillsEveryProcessIsQuarantinedAndAttributed) {
 
     std::uint64_t quarantined_scans = 0;
     const CampaignStats stats =
-        campaign.reduce([&](const web::Domain&, DomainScan&& scan) {
+        campaign.resume([&](const web::Domain&, DomainScan&& scan) {
             if (scan.error.rfind("chunk quarantined:", 0) == 0) ++quarantined_scans;
         });
     EXPECT_EQ(stats.chunks_quarantined, 1u);

@@ -439,6 +439,7 @@ TEST_F(TraceTest, KillAndResumeReplaysTheSameTimelineFlaggedReplayed) {
 
     scanner::ScanOptions journaled = traced_options(2);
     journaled.journal_dir = (dir_ / "journal").string();
+    journaled.journal_batch_bytes = 1;  // every merged chunk is published
     {
         struct Kill {};
         scanner::Campaign campaign{population, journaled};
