@@ -27,7 +27,9 @@
 #       --seconds 10 --trace 0 --work /tmp/fp/work
 #
 # Symbols come from addr2line, or from `nm` symbol extents where there is no
-# line info (internal functions of stripped libraries show as `?? [lib]`).
+# line info. Internal functions of stripped libraries show as
+# `?? after SYM [lib]`: SYM is the nearest exported symbol below the address
+# (`nm -D`), an approximate landmark rather than the function itself.
 # Unlike a -pg build, the binary runs unmodified, so small hot functions are
 # not distorted by instrumentation. Limits: the kernel tick caps the CPU rate
 # (250 Hz on a HZ=250 kernel); a sample landing in a leaf function without a
@@ -45,7 +47,7 @@ while [ $# -gt 0 ]; do
         --allocs) mode=allocs; shift ;;
         --out) out="$2"; shift 2 ;;
         --) shift; break ;;
-        -h|--help) sed -n '2,37p' "$0"; exit 0 ;;
+        -h|--help) sed -n '2,39p' "$0"; exit 0 ;;
         *) break ;;
     esac
 done
@@ -336,6 +338,19 @@ def symbol_table(path):
     syms.sort()
     return [s[0] for s in syms], [s[1] for s in syms], [s[2] for s in syms]
 
+def export_table(path):
+    """(starts, names) of a module's exported dynamic function symbols,
+    sized or not: the landmarks for addresses no symbol extent covers."""
+    try:
+        text = subprocess.run(["nm", "-D", "--defined-only", path], capture_output=True,
+                              text=True, check=False).stdout
+    except OSError:
+        return [], []
+    syms = sorted({(int(p[0], 16), p[2].split("@")[0]) for p in
+                   (line.split() for line in text.splitlines())
+                   if len(p) == 3 and p[1] in "TtWi"})
+    return [s[0] for s in syms], [s[1] for s in syms]
+
 by_module = collections.defaultdict(set)
 for stack in stacks:
     for addr in stack:
@@ -358,17 +373,28 @@ for path, addrs in by_module.items():
     except OSError:
         lines = []
     table = None
+    exports = None
     for i, (a, r) in enumerate(zip(addrs, rel)):
         fn = lines[2 * i] if 2 * i + 1 < len(lines) else "??"
         if fn == "??" or lines[2 * i + 1].startswith("??"):
             # Without line info addr2line names the nearest preceding
             # symbol, however far away; trust only a symbol whose extent
-            # covers the address. Internal functions of a stripped library
-            # (memcpy/memset variants, malloc internals) share one ?? row.
+            # covers the address.
             if table is None:
                 table = symbol_table(path)
             j = bisect.bisect_right(table[0], r) - 1
             fn = table[2][j] if j >= 0 and r < table[1][j] else "??"
+        if fn == "??":
+            # Internal functions of a stripped library (memcpy/memset
+            # variants, malloc internals) have no symbol of their own. Label
+            # them with the nearest exported symbol below, which groups them
+            # by the region of the library they live in. Approximate: the
+            # label is a landmark, not the function that ran.
+            if exports is None:
+                exports = export_table(path)
+            j = bisect.bisect_right(exports[0], r) - 1
+            if j >= 0:
+                fn = f"?? after {exports[1][j]}"
         names[a] = f"{fn}  [{short}]"
 
 def strip_params(fn):

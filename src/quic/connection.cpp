@@ -60,15 +60,15 @@ Connection::Connection(netsim::Simulator& sim, ConnectionConfig config, util::Rn
       pool_{pool},
       spin_{config.role, config.spin, rng_},
       rtt_{config.initial_rtt},
+      // Initial and Handshake acknowledge immediately; 1-RTT per config.
+      spaces_{Space{AckTracker::Config{1, Duration::zero()}},
+              Space{AckTracker::Config{1, Duration::zero()}},
+              Space{AckTracker::Config{config.ack_eliciting_threshold,
+                                       config.params.max_ack_delay}}},
       pto_timer_{sim},
       ack_timer_{sim},
       handshake_timer_{sim},
       idle_timer_{sim} {
-    const AckTracker::Config immediate{1, Duration::zero()};
-    const AckTracker::Config app{config_.ack_eliciting_threshold, config_.params.max_ack_delay};
-    spaces_[0] = std::make_unique<Space>(immediate);
-    spaces_[1] = std::make_unique<Space>(immediate);
-    spaces_[2] = std::make_unique<Space>(app);
     local_cid_ = ConnectionId::from_u64(rng_.next());
     remote_cid_ = ConnectionId::from_u64(rng_.next());
     cwnd_ = config_.initial_cwnd_packets * config_.mtu;
@@ -589,8 +589,8 @@ void Connection::arm_pto() {
     TimePoint latest = TimePoint::never();
     bool any = false;
     for (const auto& sp : spaces_) {
-        if (!sp->open || sp->in_flight.empty()) continue;
-        for (const auto& packet : sp->in_flight) {
+        if (!sp.open || sp.in_flight.empty()) continue;
+        for (const auto& packet : sp.in_flight) {
             if (!any || packet.sent_at > latest) latest = packet.sent_at;
             any = true;
         }

@@ -236,7 +236,7 @@ private:
         bool open = true;  // discarded once keys would be dropped
     };
 
-    Space& space(PnSpace s) noexcept { return *spaces_[static_cast<std::size_t>(s)]; }
+    Space& space(PnSpace s) noexcept { return spaces_[static_cast<std::size_t>(s)]; }
 
     // --- send path ---------------------------------------------------------
     void send_packet(PnSpace pn_space, std::span<const Frame> frames, bool pad_to_mtu = false);
@@ -295,7 +295,7 @@ private:
     RttEstimator rtt_;
     ConnectionCounters counters_;
 
-    std::array<std::unique_ptr<Space>, kPnSpaceCount> spaces_;
+    std::array<Space, kPnSpaceCount> spaces_;
     ConnectionId local_cid_;
     ConnectionId remote_cid_;
 

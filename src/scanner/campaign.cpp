@@ -696,6 +696,44 @@ CampaignStats Campaign::run_impl(
                        static_cast<double>(traced_quic_ok));
     };
 
+    // scanner.* merge counters, resolved once per run instead of building a
+    // name and walking the registry per domain and per trace. Lazy: a
+    // counter still appears only once something increments it.
+    struct MergeCounters {
+        explicit MergeCounters(telemetry::MetricsRegistry& registry)
+            : domains_scanned{registry, "scanner.domains_scanned"},
+              domains_resolved{registry, "scanner.domains_resolved"},
+              domains_quic_ok{registry, "scanner.domains_quic_ok"},
+              connections{registry, "scanner.connections"},
+              retries{registry, "scanner.retries"},
+              recovered_by_retry{registry, "scanner.domains_recovered_by_retry"},
+              domains_errored{registry, "scanner.domains_errored"} {
+            outcome.reserve(qlog::kConnectionOutcomeCount);
+            for (std::size_t i = 0; i < qlog::kConnectionOutcomeCount; ++i) {
+                outcome.emplace_back(
+                    registry, std::string{"scanner.outcome."} +
+                                  qlog::to_cstring(static_cast<qlog::ConnectionOutcome>(i)));
+            }
+            server_fault.reserve(faults::kServerFaultModeCount);
+            for (std::size_t i = 0; i < faults::kServerFaultModeCount; ++i) {
+                server_fault.emplace_back(
+                    registry, std::string{"scanner.server_fault."} +
+                                  faults::to_cstring(static_cast<faults::ServerFaultMode>(i)));
+            }
+        }
+        std::vector<telemetry::Lazy<telemetry::Counter>> outcome;       ///< by ConnectionOutcome
+        std::vector<telemetry::Lazy<telemetry::Counter>> server_fault;  ///< by ServerFaultMode
+        telemetry::Lazy<telemetry::Counter> domains_scanned;
+        telemetry::Lazy<telemetry::Counter> domains_resolved;
+        telemetry::Lazy<telemetry::Counter> domains_quic_ok;
+        telemetry::Lazy<telemetry::Counter> connections;
+        telemetry::Lazy<telemetry::Counter> retries;
+        telemetry::Lazy<telemetry::Counter> recovered_by_retry;
+        telemetry::Lazy<telemetry::Counter> domains_errored;
+    };
+    std::optional<MergeCounters> merge_counters;
+    if (metrics_ != nullptr) merge_counters.emplace(*metrics_);
+
     // Per-scan merge bookkeeping, shared verbatim between the scan and
     // replay paths: replayed chunks re-drive exactly the counters an
     // uninterrupted merge would have driven, which is what makes resumed
@@ -716,36 +754,26 @@ CampaignStats Campaign::run_impl(
         if (scan.recovered_by_retry) ++stats.domains_recovered_by_retry;
         if (!scan.error.empty()) ++stats.domains_errored;
         for (const auto& trace : scan.connections) {
-            ++stats.outcomes[static_cast<std::size_t>(trace.outcome)];
-            if (metrics_ != nullptr) {
-                metrics_->counter(std::string{"scanner.outcome."} +
-                                  qlog::to_cstring(trace.outcome))
-                    .add(1);
-            }
+            const auto outcome = static_cast<std::size_t>(trace.outcome);
+            ++stats.outcomes[outcome];
+            if (merge_counters) merge_counters->outcome[outcome]->add(1);
         }
         for (const auto& attempt : scan.attempts) {
-            ++stats.server_faults[static_cast<std::size_t>(attempt.server_fault)];
-            if (metrics_ != nullptr &&
-                attempt.server_fault != faults::ServerFaultMode::none) {
-                metrics_->counter(std::string{"scanner.server_fault."} +
-                                  faults::to_cstring(attempt.server_fault))
-                    .add(1);
+            const auto fault = static_cast<std::size_t>(attempt.server_fault);
+            ++stats.server_faults[fault];
+            if (merge_counters && attempt.server_fault != faults::ServerFaultMode::none) {
+                merge_counters->server_fault[fault]->add(1);
             }
         }
-        if (metrics_ != nullptr) {
-            metrics_->counter("scanner.domains_scanned").add(1);
-            if (scan.resolved) metrics_->counter("scanner.domains_resolved").add(1);
-            if (scan.quic_ok()) metrics_->counter("scanner.domains_quic_ok").add(1);
-            metrics_->counter("scanner.connections").add(scan.connections.size());
-            if (scan.retries > 0) {
-                metrics_->counter("scanner.retries").add(scan.retries);
-            }
-            if (scan.recovered_by_retry) {
-                metrics_->counter("scanner.domains_recovered_by_retry").add(1);
-            }
-            if (!scan.error.empty()) {
-                metrics_->counter("scanner.domains_errored").add(1);
-            }
+        if (merge_counters) {
+            MergeCounters& c = *merge_counters;
+            c.domains_scanned->add(1);
+            if (scan.resolved) c.domains_resolved->add(1);
+            if (scan.quic_ok()) c.domains_quic_ok->add(1);
+            c.connections->add(scan.connections.size());
+            if (scan.retries > 0) c.retries->add(scan.retries);
+            if (scan.recovered_by_retry) c.recovered_by_retry->add(1);
+            if (!scan.error.empty()) c.domains_errored->add(1);
         }
 
         sink(domain, std::move(scan));
@@ -871,7 +899,9 @@ CampaignStats Campaign::run_impl(
         }
     };
 
-    const auto merge_scanned = [&](std::size_t chunk, LiveChunk&& result,
+    // Merges `result` in place: its storage stays with the caller, so a
+    // worker-scanned chunk is freed by its worker (release_missing below).
+    const auto merge_scanned = [&](std::size_t chunk, LiveChunk& result,
                                    std::int64_t scan_done_ns) {
         const std::int64_t merge_start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
         if (journal != nullptr) {
@@ -1024,30 +1054,32 @@ CampaignStats Campaign::run_impl(
             ++corrupt_batches;
             for (std::size_t c = batch.first; c <= batch.last; ++c) {
                 LiveChunk rescan = scan_live_chunk(c);
-                merge_scanned(c, std::move(rescan), trace != nullptr ? trace->wall_now_ns() : 0);
+                merge_scanned(c, rescan, trace != nullptr ? trace->wall_now_ns() : 0);
             }
         }
     };
 
     // ---- scan the missing chunks ---------------------------------------------
-    // One campaign chunk per work item (missing(c) names it).
-    // Slot c % window is written by exactly one worker (inside scan(c)) and
-    // read by the merge thread only after run_supervised reports the chunk
-    // done; a restarted scan overwrites it from scratch. Rings, not
-    // per-chunk vectors: the shard merge window bounds how many chunks are
-    // ever live past the merge frontier, so slot c % window is free again by
-    // the time chunk c + window is admitted — in-flight results cost
-    // O(window), never O(chunk count).
+    // One campaign chunk per work item (missing(c) names it). Slot c % window
+    // is written by exactly one worker (inside scan(c)), read by the merge
+    // thread only after run_supervised reports the chunk done, and cleared
+    // by that same worker once the chunk is merged; a restarted scan
+    // overwrites it from scratch. Rings, not per-chunk vectors: run_supervised
+    // reuses slot c % window for chunk c + window only after chunk c's
+    // release, so in-flight results cost O(window), never O(chunk count).
+    // Worker-affine frees (DESIGN.md §9): a chunk's scans, traces and
+    // registry are allocated by its worker and freed by it too, never by the
+    // merge thread, which keeps the allocator's per-thread caches warm and
+    // its arena locks uncontended.
     const ShardConfig shard{options_.threads, 1};
     const ShardPlan work{work_items, 1};
-    const std::size_t window = std::max<std::size_t>(
-        std::min<std::size_t>(shard.resolved_merge_window(), work_items), 1);
+    const std::size_t window = shard.ring_slots(work_items);
     std::vector<LiveChunk> slots(window);
     // Wall-clock instant each chunk's scan finished (same slot discipline):
     // the merge span reports its distance to this as time queued for merge.
     std::vector<std::int64_t> scan_done_ns(window, 0);
 
-    const auto scan_missing = [&](std::size_t c) {
+    const auto scan_missing = [&](std::size_t c, std::size_t /*worker*/) {
         const std::int64_t scan_start_ns = trace != nullptr ? trace->wall_now_ns() : 0;
         slots[c % window] = scan_live_chunk(missing(c));
         if (trace != nullptr) {
@@ -1063,20 +1095,22 @@ CampaignStats Campaign::run_impl(
     };
     const auto merge_missing = [&](std::size_t c) {
         replay_up_to(missing(c));
-        LiveChunk result = std::move(slots[c % window]);
-        slots[c % window] = LiveChunk{};  // release the slot's storage
-        merge_scanned(missing(c), std::move(result), scan_done_ns[c % window]);
+        merge_scanned(missing(c), slots[c % window], scan_done_ns[c % window]);
     };
     const auto quarantine_missing = [&](const ChunkFailure& failure) {
         replay_up_to(missing(failure.chunk));
         merge_quarantined(missing(failure.chunk), failure);
     };
+    const auto release_missing = [&](std::size_t c, std::size_t /*worker*/) {
+        slots[c % window] = LiveChunk{};
+    };
 
     SupervisorConfig supervisor;
     supervisor.restart = options_.worker_restart;
     supervisor.seed = options_.seed;
-    const SupervisionReport report = run_supervised(shard, work, supervisor, scan_missing,
-                                                    merge_missing, quarantine_missing);
+    const SupervisionReport report =
+        run_supervised(shard, work, supervisor, scan_missing, merge_missing,
+                       quarantine_missing, release_missing);
     replay_up_to(plan.chunk_count());
     stats.worker_restarts = report.restarts;
     // restarted_workers = thread-level scan re-executions (run_supervised);

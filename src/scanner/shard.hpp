@@ -38,9 +38,9 @@ struct ShardConfig {
     /// so the default is fixed rather than derived from the machine.
     std::size_t chunk_items = 16;
     /// Maximum number of chunks admitted past the merge frontier at once
-    /// (0 = auto: max(4 * threads, 32)). Workers that claim a chunk beyond
-    /// `merged + merge_window` block until the merge thread catches up, so
-    /// the peak number of scanned-but-unmerged chunk results — and thus the
+    /// (0 = auto: max(4 * threads, 32)). A worker that claims chunk c blocks
+    /// until chunk c - merge_window has been merged and released, so the
+    /// peak number of scanned-but-unreleased chunk results — and thus the
     /// driver's RSS — is bounded by the window instead of the chunk count.
     /// Purely a scheduling constraint: output bytes are unaffected.
     std::size_t merge_window = 0;
@@ -57,6 +57,11 @@ struct ShardConfig {
 
     /// `merge_window` with 0 resolved to max(4 * resolved_threads(), 32).
     [[nodiscard]] std::size_t resolved_merge_window() const noexcept;
+
+    /// Result-ring size W of a run over `chunks` chunks:
+    /// min(resolved_merge_window(), chunks), at least 1. run_supervised
+    /// keeps chunk c in slot c % W from its scan to its release.
+    [[nodiscard]] std::size_t ring_slots(std::size_t chunks) const noexcept;
 };
 
 /// Pure chunk geometry: how [0, item_count) splits into fixed-size chunks.
@@ -81,19 +86,6 @@ struct ShardPlan {
 /// range so an operator can find the poisoned block without re-deriving the
 /// chunk geometry by hand.
 [[nodiscard]] std::string describe_chunk(const ShardPlan& plan, std::size_t chunk);
-
-/// Chunked fan-out / ordered-merge executor.
-///
-/// `scan(c)` is invoked exactly once per chunk, concurrently from worker
-/// threads, and must leave the chunk's result somewhere the caller owns
-/// (e.g. a pre-sized vector slot — slot c is touched only by `scan(c)` and,
-/// after it completes, by `merge(c)`, so no locking is needed). `merge(c)`
-/// is invoked on the calling thread, in ascending chunk order. A throwing
-/// scan or merge cancels the run: remaining chunks are abandoned, workers
-/// are joined, and the first exception is rethrown on the calling thread.
-void run_sharded(const ShardConfig& config, const ShardPlan& plan,
-                 const std::function<void(std::size_t chunk)>& scan,
-                 const std::function<void(std::size_t chunk)>& merge);
 
 /// Why one chunk ended up quarantined: the last exception message and how
 /// many scan executions were attempted before the supervisor gave up.
@@ -126,19 +118,36 @@ struct SupervisionReport {
     std::uint64_t quarantined = 0;
 };
 
-/// run_sharded with worker supervision: a chunk whose `scan` throws is
-/// retried in place up to `supervisor.restart.max_attempts` total executions
-/// (with jittered backoff slept on the worker thread); a chunk that exhausts
-/// the budget is QUARANTINED instead of cancelling the run — `quarantine(f)`
-/// is invoked for it on the calling thread, in the same ascending chunk
-/// order as `merge`, and the run completes degraded. `scan` must therefore
-/// be restartable: re-executing it for the same chunk must fully overwrite
-/// the chunk's result slot. A throwing `merge` or `quarantine` is still
-/// fatal exactly as in run_sharded (cancels, joins, rethrows).
-SupervisionReport run_supervised(const ShardConfig& config, const ShardPlan& plan,
-                                 const SupervisorConfig& supervisor,
-                                 const std::function<void(std::size_t chunk)>& scan,
-                                 const std::function<void(std::size_t chunk)>& merge,
-                                 const std::function<void(const ChunkFailure&)>& quarantine);
+/// Chunked fan-out / ordered-merge executor with worker supervision.
+///
+/// `scan(c, w)` runs on worker thread `w` (0 <= w < worker count) and must
+/// leave chunk c's result somewhere the caller owns: typically ring slot
+/// `c % W` of a caller-held vector, W = config.ring_slots(plan.chunk_count()).
+/// `merge(c)` runs on the calling thread in ascending chunk order. A chunk
+/// whose scan throws is retried in place up to
+/// `supervisor.restart.max_attempts` total executions (jittered backoff slept
+/// on the worker), so `scan` must fully overwrite the chunk's result when
+/// re-executed. A chunk that exhausts the budget is QUARANTINED instead of
+/// cancelling the run: `quarantine(f)` replaces `merge` for it, in the same
+/// order, and the run completes degraded.
+///
+/// Once chunk c is merged or quarantined, `release(c, w)` runs on the worker
+/// `w` that scanned it, so memory a worker allocated for a chunk is freed by
+/// that same worker (DESIGN.md §9). A worker releases when it claims its
+/// next chunk and while it waits, and it does not exit before every chunk
+/// it scanned is released; every scanned chunk is released exactly once,
+/// before run_supervised returns. Slot `c % W` is reused for chunk c + W
+/// only after release(c) returned, so a release may clear the slot without
+/// locking. `release` must not throw (a throw terminates).
+///
+/// A throwing `merge` or `quarantine` is fatal: the remaining chunks are
+/// abandoned, every scanned chunk is still released, workers are joined and
+/// the first exception is rethrown on the calling thread.
+SupervisionReport run_supervised(
+    const ShardConfig& config, const ShardPlan& plan, const SupervisorConfig& supervisor,
+    const std::function<void(std::size_t chunk, std::size_t worker)>& scan,
+    const std::function<void(std::size_t chunk)>& merge,
+    const std::function<void(const ChunkFailure&)>& quarantine,
+    const std::function<void(std::size_t chunk, std::size_t worker)>& release = {});
 
 }  // namespace spinscope::scanner

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -14,23 +15,98 @@ namespace spinscope::telemetry {
 namespace alloc {
 
 namespace {
-std::atomic<std::uint64_t> g_count{0};
-std::atomic<std::uint64_t> g_bytes{0};
+
+// One thread's allocation tally. Only its own thread writes it, with a plain
+// load and store rather than a locked read-modify-write, so the allocation
+// path shares no cache line with any other thread. count()/bytes() read the
+// live tallies under g_threads_mu (atomics only so those reads are not races).
+struct ThreadTally {
+    enum class State : unsigned char { unregistered, live, retired };
+
+    std::atomic<std::uint64_t> count{0};
+    std::atomic<std::uint64_t> bytes{0};
+    ThreadTally* prev = nullptr;  ///< live-tally list; guarded by g_threads_mu
+    ThreadTally* next = nullptr;
+    State state = State::unregistered;  ///< owning thread only
+};
+
+constinit thread_local ThreadTally t_tally;
+
+std::mutex g_threads_mu;
+ThreadTally* g_threads = nullptr;  // guarded by g_threads_mu
+// Totals folded in by exited threads, plus allocations a thread makes after
+// its tally retired (late thread_local destructors).
+std::atomic<std::uint64_t> g_retired_count{0};
+std::atomic<std::uint64_t> g_retired_bytes{0};
 std::atomic<bool> g_active{false};
+
+void add(std::atomic<std::uint64_t>& own, std::uint64_t n) noexcept {
+    own.store(own.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
+/// Folds the calling thread's tally into the retired totals at thread exit.
+struct TallyRetirer {
+    ~TallyRetirer() {
+        ThreadTally& tally = t_tally;
+        std::lock_guard<std::mutex> lock{g_threads_mu};
+        g_retired_count.fetch_add(tally.count.load(std::memory_order_relaxed),
+                                  std::memory_order_relaxed);
+        g_retired_bytes.fetch_add(tally.bytes.load(std::memory_order_relaxed),
+                                  std::memory_order_relaxed);
+        if (tally.prev != nullptr) tally.prev->next = tally.next;
+        if (tally.next != nullptr) tally.next->prev = tally.prev;
+        if (g_threads == &tally) g_threads = tally.next;
+        tally.state = ThreadTally::State::retired;
+    }
+};
+
+/// First allocation of a thread: links its tally and arms the exit hook
+/// (neither step calls operator new, so this cannot recurse). False once the
+/// thread's tally has retired.
+[[gnu::noinline]] bool enlist(ThreadTally& tally) noexcept {
+    if (tally.state == ThreadTally::State::retired) return false;
+    {
+        std::lock_guard<std::mutex> lock{g_threads_mu};
+        tally.next = g_threads;
+        if (g_threads != nullptr) g_threads->prev = &tally;
+        g_threads = &tally;
+    }
+    tally.state = ThreadTally::State::live;
+    static thread_local TallyRetirer retirer;
+    return true;
+}
+
+/// Retired totals plus every live tally's `field`.
+std::uint64_t total(std::atomic<std::uint64_t> ThreadTally::*field,
+                    const std::atomic<std::uint64_t>& retired) noexcept {
+    std::lock_guard<std::mutex> lock{g_threads_mu};
+    std::uint64_t sum = retired.load(std::memory_order_relaxed);
+    for (const ThreadTally* t = g_threads; t != nullptr; t = t->next) {
+        sum += (t->*field).load(std::memory_order_relaxed);
+    }
+    return sum;
+}
+
 }  // namespace
 
 void record(std::size_t bytes) noexcept {
-    g_count.fetch_add(1, std::memory_order_relaxed);
-    g_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    ThreadTally& tally = t_tally;
+    if (tally.state != ThreadTally::State::live && !enlist(tally)) [[unlikely]] {
+        g_retired_count.fetch_add(1, std::memory_order_relaxed);
+        g_retired_bytes.fetch_add(bytes, std::memory_order_relaxed);
+        return;
+    }
+    add(tally.count, 1);
+    add(tally.bytes, bytes);
 }
 
 void mark_active() noexcept { g_active.store(true, std::memory_order_relaxed); }
 
 bool active() noexcept { return g_active.load(std::memory_order_relaxed); }
 
-std::uint64_t count() noexcept { return g_count.load(std::memory_order_relaxed); }
+std::uint64_t count() noexcept { return total(&ThreadTally::count, g_retired_count); }
 
-std::uint64_t bytes() noexcept { return g_bytes.load(std::memory_order_relaxed); }
+std::uint64_t bytes() noexcept { return total(&ThreadTally::bytes, g_retired_bytes); }
 
 }  // namespace alloc
 

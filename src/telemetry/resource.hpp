@@ -6,8 +6,8 @@
 //
 // Allocation accounting works by interposition: a binary that wants heap
 // counters includes telemetry/alloc_interpose.hpp in EXACTLY ONE translation
-// unit, which defines global operator new/delete forwarding into the relaxed
-// atomics here. Binaries without the interposer read zeros and
+// unit, which defines global operator new/delete forwarding into the
+// per-thread tallies here. Binaries without the interposer read zeros and
 // alloc::active() == false — the probe never changes behaviour of code that
 // does not opt in (libraries must NOT include the interpose header).
 //
@@ -28,8 +28,10 @@ namespace spinscope::telemetry {
 
 namespace alloc {
 
-/// Feed one allocation into the counters (called by the interposed operator
-/// new; safe from any thread, relaxed ordering — counters, not fences).
+/// Feed one allocation into the calling thread's tally (called by the
+/// interposed operator new). Each thread writes only its own tally, so
+/// threads that allocate concurrently share no cache line; a thread's totals
+/// fold into a process-wide sum when it exits (DESIGN.md §12.2).
 void record(std::size_t bytes) noexcept;
 
 /// Marks that an interposer is linked into this binary (called once by the
@@ -39,7 +41,10 @@ void mark_active() noexcept;
 /// True when telemetry/alloc_interpose.hpp is linked into this binary.
 [[nodiscard]] bool active() noexcept;
 
-/// Global totals since process start (0 without an interposer).
+/// Totals since process start over every thread, live and exited (0
+/// without an interposer). Exact for threads that are joined or that are
+/// the caller; a still-running thread contributes what it has recorded so
+/// far. Takes a lock: meant for snapshots, not hot paths.
 [[nodiscard]] std::uint64_t count() noexcept;
 [[nodiscard]] std::uint64_t bytes() noexcept;
 

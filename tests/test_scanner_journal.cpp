@@ -668,7 +668,7 @@ TEST(RunSupervisedTest, QuarantinesInAscendingOrderAndKeepsMerging) {
     std::vector<std::string> events;  // merge-thread only
     const SupervisionReport report = run_supervised(
         config, plan, supervisor,
-        [&](std::size_t chunk) {
+        [&](std::size_t chunk, std::size_t) {
             if (chunk == 3 || chunk == 7) throw std::runtime_error("boom");
         },
         [&](std::size_t chunk) { events.push_back("merge " + std::to_string(chunk)); },
@@ -695,7 +695,7 @@ TEST(RunSupervisedTest, MergeExceptionStillCancelsAndRethrows) {
     supervisor.sleep_on_restart = false;
     EXPECT_THROW(
         run_supervised(
-            config, plan, supervisor, [](std::size_t) {},
+            config, plan, supervisor, [](std::size_t, std::size_t) {},
             [](std::size_t chunk) {
                 if (chunk == 1) throw std::logic_error("merge failed");
             },

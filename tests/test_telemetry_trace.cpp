@@ -16,6 +16,7 @@
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "scanner/campaign.hpp"
@@ -357,6 +358,52 @@ TEST(ResourceProbeTest, AllocInterposerCountsThisBinary) {
     }
     EXPECT_GE(before.count_since(), 1u);
     EXPECT_GE(before.bytes_since(), std::uint64_t{1} << 16);
+}
+
+// Per-thread tallies (DESIGN.md §12.2): totals stay exact across threads
+// that allocate concurrently and then exit.
+TEST(ResourceProbeTest, AllocCountIsExactAcrossJoinedThreads) {
+    constexpr int kThreads = 4;
+    const auto allocations_of_run = [](int per_thread) {
+        const AllocSnapshot before;
+        std::vector<std::thread> threads;
+        threads.reserve(kThreads);
+        for (int t = 0; t < kThreads; ++t) {
+            threads.emplace_back([per_thread] {
+                for (int i = 0; i < per_thread; ++i) {
+                    // A direct call, not a new-expression, so it cannot be
+                    // elided.
+                    ::operator delete(::operator new(16));
+                }
+            });
+        }
+        for (auto& thread : threads) thread.join();
+        return before.count_since();
+    };
+    const std::uint64_t baseline = allocations_of_run(0);
+    EXPECT_EQ(allocations_of_run(10'000), baseline + kThreads * 10'000u);
+}
+
+// The tier-1 twin of spinbench's "heap allocations differ from rep 1" check:
+// a threaded sweep allocates the same number of times however its chunks
+// happen to be scheduled.
+TEST(ResourceProbeTest, ThreadedSweepAllocatesTheSameEveryRepetition) {
+    const web::Population population = tiny_population();
+    scanner::ScanOptions options;
+    options.threads = 2;
+    scanner::Campaign campaign{population, options};
+    std::vector<std::uint64_t> counts;
+    for (int rep = 0; rep < 5; ++rep) {
+        MetricsRegistry registry;
+        campaign.set_metrics(&registry);
+        const AllocSnapshot before;
+        campaign.run([](const web::Domain&, scanner::DomainScan&&) {});
+        counts.push_back(before.count_since());
+        campaign.set_metrics(nullptr);
+    }
+    for (std::size_t rep = 1; rep < counts.size(); ++rep) {
+        EXPECT_EQ(counts[rep], counts[0]) << "rep " << rep;
+    }
 }
 
 TEST(ResourceProbeTest, PublishesObsGaugesOutsideTheDeterministicView) {
