@@ -63,12 +63,14 @@ void BufferPool::publish_metrics(telemetry::MetricsRegistry& registry,
     publish_metrics(metrics);
 }
 
-void BufferPool::publish_metrics(Metrics& metrics) const {
-    metrics.acquires->add(stats_.acquires);
-    metrics.hits->add(stats_.hits);
-    metrics.misses->add(stats_.misses);
-    metrics.recycled->add(stats_.recycled);
-    metrics.trimmed->add(stats_.trimmed);
+void BufferPool::publish_metrics(Metrics& metrics) const { publish_metrics(metrics, Stats{}); }
+
+void BufferPool::publish_metrics(Metrics& metrics, const Stats& since) const {
+    metrics.acquires->add(stats_.acquires - since.acquires);
+    metrics.hits->add(stats_.hits - since.hits);
+    metrics.misses->add(stats_.misses - since.misses);
+    metrics.recycled->add(stats_.recycled - since.recycled);
+    metrics.trimmed->add(stats_.trimmed - since.trimmed);
     metrics.outstanding_hwm->set_max(static_cast<double>(stats_.outstanding_hwm));
 }
 

@@ -30,11 +30,12 @@ using util::TimePoint;
 /// Event-queue storage that simulators run one after another can share, so
 /// a worker that runs one simulator per attempt stops regrowing the queue
 /// for every attempt. A simulator constructed with a QueueStorage borrows
-/// its buffers for its lifetime and hands them back when destroyed, with
-/// every pending callback already destroyed. One simulator borrows at a
-/// time: one constructed while the storage is lent out (a nested simulator,
-/// or another thread's) grows buffers of its own. Whoever owns the storage
-/// must keep it alive until the borrowing simulator is gone.
+/// its buffers — the queue and the timer-state table — for its lifetime and
+/// hands them back when destroyed, with every pending callback already
+/// destroyed. One simulator borrows at a time: one constructed while the
+/// storage is lent out (a nested simulator, or another thread's) grows
+/// buffers of its own. Whoever owns the storage must keep it alive until
+/// the borrowing simulator is gone.
 class QueueStorage {
 public:
     QueueStorage() = default;
@@ -63,8 +64,22 @@ private:
         const char* category = nullptr;
     };
     static constexpr std::uint32_t kSlotsPerBlock = 64;
+    /// The state of one Timer, kept in the table while the Timer lives and
+    /// recycled for a later one after. `generation` only ever grows, also
+    /// across reuse, so a firing queued for an earlier arm — or an earlier
+    /// Timer in the same entry — never matches it.
+    struct TimerState {
+        std::uint64_t generation = 0;
+        bool armed = false;
+        TimePoint expiry = TimePoint::never();
+        /// The armed callback. A re-arm replaces it; a firing moves it out
+        /// before invoking it, so the callback may re-arm its own timer (or
+        /// construct timers that grow the table).
+        util::MoveFunction<void()> callback;
+    };
     /// Between borrowers the queue is empty, every slot is on the free list
-    /// and holds no callback.
+    /// and holds no callback, and so does every timer state. Only capacity
+    /// carries over: a borrower starts with no category counts.
     struct Buffers {
         /// Keys scheduled no earlier than the tail's last key, in firing
         /// order from tail_head on: a FIFO, so the far-future timer re-arms
@@ -78,6 +93,12 @@ private:
         /// never allocates.
         std::vector<std::uint32_t> free_slots;
         std::uint32_t slot_count = 0;
+        /// One entry per Timer ever alive at once; free_timers (capacity
+        /// kept at least the table size) lists the unused ones.
+        std::vector<TimerState> timers;
+        std::vector<std::uint32_t> free_timers;
+        /// Simulator::category_counts(); a borrower starts it empty.
+        std::vector<std::pair<const char*, std::uint64_t>> category_counts;
     };
 
     Buffers buffers_;
@@ -105,7 +126,7 @@ public:
 
     /// Destroys every pending callback (captured state drops, pooled
     /// datagrams return to their pools), then hands borrowed queue storage
-    /// back.
+    /// back. Every Timer of this simulator must be gone by then.
     ~Simulator();
 
     /// Pending callbacks and timers hold the simulator's address.
@@ -150,7 +171,7 @@ public:
     /// events are not listed (processed() minus the sum gives them).
     [[nodiscard]] const std::vector<std::pair<const char*, std::uint64_t>>& category_counts()
         const noexcept {
-        return category_counts_;
+        return store_.category_counts;
     }
 
     /// The simulator's instruments in one registry under `<prefix>.*`,
@@ -167,7 +188,7 @@ public:
         telemetry::Lazy<telemetry::Counter> events_processed;
         telemetry::Lazy<telemetry::Gauge> queue_depth_hwm;
         /// events.<category>, interned by pointer like category_counts().
-        std::vector<std::pair<const char*, telemetry::Counter*>> categories;
+        std::vector<std::pair<const char*, telemetry::Lazy<telemetry::Counter>>> categories;
     };
 
     /// Adds this simulator's stats into the registry of `metrics`: counters
@@ -180,8 +201,10 @@ public:
                          const std::string& prefix = "netsim.sim") const;
 
 private:
+    friend class Timer;
     using Key = QueueStorage::Key;
     using Slot = QueueStorage::Slot;
+    using TimerState = QueueStorage::TimerState;
     static_assert(std::is_trivially_copyable_v<Key> && sizeof(Key) == 24);
 
     /// Bitwise, not short-circuit: which of two keys fires first is a coin
@@ -198,6 +221,17 @@ private:
     [[nodiscard]] std::uint32_t acquire_slot();
     /// Destroys the slot's callback and returns the slot to the free list.
     void release_slot(std::uint32_t index) noexcept;
+    /// A timer-state entry for a new Timer: a recycled one (its generation
+    /// kept) or a new one at the end of the table.
+    [[nodiscard]] std::uint32_t acquire_timer();
+    /// Returns a disarmed timer's entry to the free list.
+    void release_timer(std::uint32_t index) noexcept;
+    [[nodiscard]] TimerState& timer_state(std::uint32_t index) noexcept {
+        return store_.timers[index];
+    }
+    [[nodiscard]] const TimerState& timer_state(std::uint32_t index) const noexcept {
+        return store_.timers[index];
+    }
     /// Queues a key on the tail when it fires no earlier than the tail's
     /// last key, on the heap otherwise.
     void push(Key key);
@@ -225,31 +259,36 @@ private:
     std::uint64_t next_seq_ = 0;
     std::uint64_t processed_ = 0;
     std::size_t queue_hwm_ = 0;
-    /// Interned by pointer: a handful of distinct literals per process, so a
-    /// linear scan beats any map.
-    std::vector<std::pair<const char*, std::uint64_t>> category_counts_;
 };
 
 /// A single re-armable, cancellable timer (QUIC PTO, idle timeout, delayed
 /// ACK). Re-arming or cancelling invalidates any previously scheduled firing
-/// via a generation counter, so stale queue entries become no-ops. The state
-/// is shared with pending queue entries, so destroying a Timer while a stale
-/// firing is still queued is safe (the firing becomes a no-op).
+/// via a generation counter, so stale queue entries become no-ops.
 ///
-/// Each arm queues exactly one event, and that event captures only the
-/// shared state and the arm's generation: the armed callback lives in the
-/// state, not in the queue. The firing therefore fits the event's inline
-/// buffer, and arming a timer never allocates once the queue has grown.
+/// The timer's state lives in its simulator's timer table, which travels
+/// with the simulator's QueueStorage, so constructing a Timer allocates
+/// nothing once the table has grown. Each arm queues exactly one event, and
+/// that event captures only (simulator, table index, generation): the armed
+/// callback lives in the table, not in the queue. The firing therefore fits
+/// the event's inline buffer, and arming a timer never allocates once the
+/// queue has grown. Destroying a Timer while a stale firing is still queued
+/// is safe: the entry keeps counting generations when a later Timer reuses
+/// it, so the firing stays a no-op.
+///
+/// Lifetime: a Timer must not outlive its Simulator (declare it after the
+/// simulator, or as a member of something that is).
 class Timer {
 public:
     using Callback = util::MoveFunction<void()>;
 
-    explicit Timer(Simulator& sim) : sim_{&sim}, state_{std::make_shared<State>()} {}
+    explicit Timer(Simulator& sim) : sim_{&sim}, index_{sim.acquire_timer()} {}
 
-    /// Destruction cancels: a pending firing becomes a no-op (the shared
-    /// state outlives the Timer inside any still-queued event) and the
-    /// armed callback is destroyed.
-    ~Timer() { cancel(); }
+    /// Destruction cancels: a pending firing becomes a no-op, the armed
+    /// callback is destroyed and the table entry is recycled.
+    ~Timer() {
+        cancel();
+        sim_->release_timer(index_);
+    }
 
     Timer(const Timer&) = delete;
     Timer& operator=(const Timer&) = delete;
@@ -264,24 +303,20 @@ public:
     /// becomes a no-op.
     void cancel() noexcept;
 
-    [[nodiscard]] bool armed() const noexcept { return state_->armed; }
+    [[nodiscard]] bool armed() const noexcept { return state().armed; }
     /// Expiry of the currently armed firing; TimePoint::never() if disarmed.
     [[nodiscard]] TimePoint expiry() const noexcept {
-        return state_->armed ? state_->expiry : TimePoint::never();
+        return state().armed ? state().expiry : TimePoint::never();
     }
 
 private:
-    struct State {
-        std::uint64_t generation = 0;
-        bool armed = false;
-        TimePoint expiry = TimePoint::never();
-        /// The armed callback. A re-arm replaces it; a firing moves it out
-        /// before invoking it, so the callback may re-arm its own timer.
-        Callback callback;
-    };
+    using State = Simulator::TimerState;
+
+    [[nodiscard]] State& state() noexcept { return sim_->timer_state(index_); }
+    [[nodiscard]] const State& state() const noexcept { return sim_->timer_state(index_); }
 
     Simulator* sim_;
-    std::shared_ptr<State> state_;
+    std::uint32_t index_;
 };
 
 }  // namespace spinscope::netsim

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -261,7 +262,8 @@ public:
     Campaign(const web::PopulationModel& model, ScanOptions options)
         : model_{&model},
           options_{std::move(options)},
-          scan_queue_{netsim::QueueStorage::of_this_thread()} {
+          scan_queue_{netsim::QueueStorage::of_this_thread()},
+          scan_pool_{ScanPool::of_this_thread()} {
         options_.validate();
     }
 
@@ -377,7 +379,8 @@ private:
     /// registry, so an attempt publishes without building names or walking
     /// the registry's maps. Each resolves on first use (telemetry::Lazy), so
     /// the registry holds exactly the instruments direct lookups would have
-    /// created. One per chunk registry; scan_domain() keeps one for metrics_.
+    /// created. One per result-ring slot's chunk registry (ChunkTelemetry);
+    /// scan_domain() keeps one for metrics_.
     struct ScanTelemetry {
         explicit ScanTelemetry(telemetry::MetricsRegistry& registry);
 
@@ -404,8 +407,8 @@ private:
     /// it may be null only for callers that accept per-datagram heap
     /// traffic. `queue` is the event-queue storage every attempt's simulator
     /// borrows, owned the same way (null: each simulator grows its own).
-    /// scan_domain() delegates here with metrics_'s handles, a transient
-    /// local pool and scan_queue_.
+    /// scan_domain() delegates here with metrics_'s handles, scan_pool_
+    /// and scan_queue_.
     [[nodiscard]] DomainScan scan_domain_into(const web::Domain& domain,
                                               ScanTelemetry* instruments,
                                               bytes::BufferPool* pool,
@@ -426,16 +429,40 @@ private:
                                              netsim::QueueStorage* queue,
                                              core::ConstrainedMonitor* observer) const;
 
-    /// A scanned chunk whose telemetry is still a live registry (null when
-    /// no registry is attached): what the merge thread folds in directly,
-    /// with no snapshot round trip unless the chunk is journaled.
-    struct LiveChunk {
-        std::vector<DomainScan> scans;
-        std::unique_ptr<telemetry::MetricsRegistry> metrics;
+    /// A chunk registry with its handles. Built by a chunk's first scan
+    /// into a LiveChunk and then reused by every later chunk scanned into
+    /// the same LiveChunk, rewound at the start of each (DESIGN.md §12.2):
+    /// the instruments, their map nodes and the handles' names are
+    /// allocated once per result-ring slot instead of once per chunk.
+    struct ChunkTelemetry {
+        ChunkTelemetry() : instruments{registry} {}
+        ChunkTelemetry(const ChunkTelemetry&) = delete;
+        ChunkTelemetry& operator=(const ChunkTelemetry&) = delete;
+
+        telemetry::MetricsRegistry registry;
+        ScanTelemetry instruments;
     };
 
-    /// scan_chunk() before the telemetry snapshot.
-    [[nodiscard]] LiveChunk scan_live_chunk(std::size_t chunk_index) const;
+    /// A scanned chunk whose telemetry is still a live registry: what the
+    /// merge thread folds in directly, with no snapshot round trip unless
+    /// the chunk is journaled.
+    struct LiveChunk {
+        std::vector<DomainScan> scans;
+        /// Null when no registry is attached to the campaign.
+        std::unique_ptr<ChunkTelemetry> telemetry;
+
+        [[nodiscard]] telemetry::MetricsRegistry* metrics() const noexcept {
+            return telemetry != nullptr ? &telemetry->registry : nullptr;
+        }
+    };
+
+    /// scan_chunk() before the telemetry snapshot, into `into`: its scans
+    /// are replaced, and its telemetry — built here on first use when a
+    /// registry is attached — is rewound before the chunk publishes into
+    /// it, so it reads exactly like a fresh registry. A throw after the
+    /// rewind drops the telemetry (the next scan into `into` builds it
+    /// anew).
+    void scan_live_chunk(std::size_t chunk_index, LiveChunk& into) const;
 
     /// resume(), over a wiped journal directory when `fresh`.
     CampaignStats run_impl(const std::function<void(const web::Domain&, DomainScan&&)>& sink,
@@ -456,6 +483,21 @@ private:
     /// thread's, shared with its other campaigns. Concurrent scan_domain()
     /// calls are safe: a simulator that finds it lent out grows its own.
     std::shared_ptr<netsim::QueueStorage> scan_queue_;
+    /// Datagram pool scan_domain() borrows, so one-off scans recycle
+    /// datagram storage across calls instead of starting cold each time.
+    /// Shared like scan_queue_: the constructing thread's, so the weekly
+    /// campaigns a thread scans one after another hold one warm pool, not
+    /// one each. Lent to one caller at a time: a concurrent scan_domain()
+    /// that finds it lent out uses a transient pool.
+    struct ScanPool {
+        bytes::BufferPool pool;
+        std::atomic<bool> lent{false};
+
+        /// The pool shared by everyone on this thread who holds it (same
+        /// lifetime rule as netsim::QueueStorage::of_this_thread).
+        [[nodiscard]] static std::shared_ptr<ScanPool> of_this_thread();
+    };
+    std::shared_ptr<ScanPool> scan_pool_;
     /// Not owned; recorded into from const run methods (same sink contract
     /// as metrics_).
     telemetry::TraceRecorder* trace_ = nullptr;

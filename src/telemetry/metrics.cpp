@@ -74,45 +74,111 @@ void Histogram::restore(std::uint64_t count, double sum, double min, double max,
     counts_ = bucket_counts;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-    auto& slot = counters_[name];
-    if (!slot) slot = std::make_unique<Counter>();
-    return *slot;
+void Histogram::reset() noexcept {
+    std::fill(counts_.begin(), counts_.end(), 0);
+    count_ = 0;
+    sum_ = 0.0;
+    min_ = 0.0;
+    max_ = 0.0;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-    auto& slot = gauges_[name];
-    if (!slot) slot = std::make_unique<Gauge>();
-    return *slot;
+template <>
+MetricsRegistry::Table<Counter>& MetricsRegistry::table<Counter>() noexcept {
+    return counters_;
 }
+template <>
+MetricsRegistry::Table<Gauge>& MetricsRegistry::table<Gauge>() noexcept {
+    return gauges_;
+}
+template <>
+MetricsRegistry::Table<Histogram>& MetricsRegistry::table<Histogram>() noexcept {
+    return histograms_;
+}
+
+template <typename Instrument>
+void MetricsRegistry::unpark(Entry<Instrument>& entry, const HistogramSpec& spec) {
+    if (entry.epoch_ == epoch_) return;
+    if constexpr (std::is_same_v<Instrument, Histogram>) {
+        // A fresh registry would create the histogram with this lookup's
+        // spec, so a parked one of another geometry is rebuilt, not reset.
+        if (entry.instrument_->spec() == spec) {
+            entry.instrument_->reset();
+        } else {
+            entry.instrument_ = std::make_unique<Histogram>(spec);
+        }
+    } else {
+        (void)spec;
+        entry.instrument_->reset();
+    }
+    entry.epoch_ = epoch_;
+    ++table<Instrument>().visible;
+}
+
+template <typename Instrument>
+MetricsRegistry::Entry<Instrument>& MetricsRegistry::lookup(const std::string& name,
+                                                            const HistogramSpec& spec) {
+    Table<Instrument>& kind = table<Instrument>();
+    auto it = kind.entries.lower_bound(name);
+    if (it != kind.entries.end() && it->first == name) {
+        unpark(it->second, spec);
+        return it->second;
+    }
+    std::unique_ptr<Instrument> created;
+    if constexpr (std::is_same_v<Instrument, Histogram>) {
+        created = std::make_unique<Histogram>(spec);
+    } else {
+        created = std::make_unique<Instrument>();
+    }
+    it = kind.entries.emplace_hint(it, name, Entry<Instrument>{std::move(created), epoch_});
+    ++kind.visible;
+    return it->second;
+}
+
+template MetricsRegistry::Entry<Counter>& MetricsRegistry::lookup<Counter>(
+    const std::string&, const HistogramSpec&);
+template MetricsRegistry::Entry<Gauge>& MetricsRegistry::lookup<Gauge>(const std::string&,
+                                                                       const HistogramSpec&);
+template MetricsRegistry::Entry<Histogram>& MetricsRegistry::lookup<Histogram>(
+    const std::string&, const HistogramSpec&);
+template void MetricsRegistry::unpark<Counter>(Entry<Counter>&, const HistogramSpec&);
+template void MetricsRegistry::unpark<Gauge>(Entry<Gauge>&, const HistogramSpec&);
+template void MetricsRegistry::unpark<Histogram>(Entry<Histogram>&, const HistogramSpec&);
+
+Counter& MetricsRegistry::counter(const std::string& name) {
+    return *lookup<Counter>(name, {});
+}
+
+Gauge& MetricsRegistry::gauge(const std::string& name) { return *lookup<Gauge>(name, {}); }
 
 Histogram& MetricsRegistry::histogram(const std::string& name, HistogramSpec spec) {
-    auto& slot = histograms_[name];
-    if (!slot) slot = std::make_unique<Histogram>(spec);
-    return *slot;
+    return *lookup<Histogram>(name, spec);
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-    for (const auto& [name, src] : other.counters_) counter(name).merge_from(*src);
-    for (const auto& [name, src] : other.gauges_) gauge(name).merge_from(*src);
-    for (const auto& [name, src] : other.histograms_) {
+    for (const auto& [name, src] : other.counters()) counter(name).merge_from(*src);
+    for (const auto& [name, src] : other.gauges()) gauge(name).merge_from(*src);
+    for (const auto& [name, src] : other.histograms()) {
         histogram(name, src->spec()).merge_from(*src);
     }
 }
 
+void MetricsRegistry::rewind() noexcept {
+    ++epoch_;
+    counters_.visible = 0;
+    gauges_.visible = 0;
+    histograms_.visible = 0;
+}
+
 const Counter* MetricsRegistry::find_counter(const std::string& name) const {
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? nullptr : it->second.get();
+    return find_visible(counters_, name);
 }
 
 const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? nullptr : it->second.get();
+    return find_visible(gauges_, name);
 }
 
 const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
-    const auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : it->second.get();
+    return find_visible(histograms_, name);
 }
 
 }  // namespace spinscope::telemetry

@@ -17,6 +17,7 @@
 #include <iterator>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -656,6 +657,101 @@ TEST_F(JournalTest, PersistentChunkCrashIsQuarantinedAndTheCampaignCompletes) {
         });
     EXPECT_EQ(resumed_stats.chunks_quarantined, 1u);
     EXPECT_EQ(resumed_quarantined, options.chunk_domains);
+}
+
+/// A chunk telemetry snapshot with each wall-clock histogram cut to its
+/// name, geometry and count: its values time this host, not the scan.
+std::string without_wall_clock_values(const std::string& snapshot) {
+    std::istringstream in{snapshot};
+    std::string out;
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream fields{line};
+        std::string kind;
+        std::string name;
+        fields >> kind >> name;
+        if (telemetry::is_wall_clock_metric(name)) {
+            line = kind + ' ' + name;
+            std::string token;
+            // min_value factor bucket_count count
+            for (int i = 0; i < 4 && fields >> token; ++i) line += ' ' + token;
+        }
+        out += line;
+        out.push_back('\n');
+    }
+    return out;
+}
+
+TEST_F(JournalTest, SlotTelemetryJournalsWhatAFreshChunkRegistryWould) {
+    // Each result-ring slot keeps its chunk registry across the chunks it
+    // holds, rewound between them. Every journaled chunk snapshot must
+    // still equal the one a fresh registry gives for that chunk alone: no
+    // instrument, value or zero left over from the slot's earlier chunks,
+    // at any thread count, after a restarted chunk and around quarantined
+    // ones.
+    const web::Population population = tiny_population();
+    ScanOptions options;
+    // 2-domain chunks: more chunks than the 32-slot ring, so the later ones
+    // land in slots an earlier chunk already used.
+    options.chunk_domains = 2;
+    options.worker_restart.initial_backoff = util::Duration::millis(1);
+    options.worker_restart.max_backoff = util::Duration::millis(2);
+
+    Campaign reference{population, options};
+    telemetry::MetricsRegistry reference_registry;
+    reference.set_metrics(&reference_registry);
+    const std::size_t chunks = reference.chunk_count();
+    ASSERT_GE(chunks, 40u);
+    std::vector<std::string> fresh(chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+        fresh[c] = without_wall_clock_values(reference.scan_chunk(c).telemetry_snapshot);
+        ASSERT_FALSE(fresh[c].empty()) << "chunk " << c;
+    }
+
+    constexpr std::size_t kQuarantinedFirst = 3;  // its slot's first chunk
+    constexpr std::size_t kRestarted = 34;        // crashes once, in a reused slot
+    constexpr std::size_t kQuarantinedReused = 36;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        ScanOptions run_options = options;
+        run_options.threads = threads;
+        run_options.journal_dir = (dir_ / ("threads" + std::to_string(threads))).string();
+        std::mutex mu;
+        std::set<std::size_t> crashed_once;
+        run_options.chunk_fault_hook = [&](std::size_t chunk) {
+            if (chunk == kQuarantinedFirst || chunk == kQuarantinedReused) {
+                throw std::runtime_error("poisoned chunk");
+            }
+            std::lock_guard<std::mutex> lock{mu};
+            if (chunk == kRestarted && crashed_once.insert(chunk).second) {
+                throw std::runtime_error("injected transient chunk crash");
+            }
+        };
+        Campaign campaign{population, run_options};
+        telemetry::MetricsRegistry registry;
+        campaign.set_metrics(&registry);
+        const CampaignStats stats = campaign.run([](const web::Domain&, DomainScan&&) {});
+        EXPECT_EQ(stats.chunks_quarantined, 2u);
+        EXPECT_EQ(stats.worker_restarts, 3u);
+
+        std::size_t records_seen = 0;
+        for (const BatchFile& batch : list_batches(run_options.journal_dir)) {
+            const auto records = read_batch(batch);
+            ASSERT_TRUE(records.has_value());
+            for (const ChunkRecord& record : *records) {
+                ++records_seen;
+                if (record.quarantined) {
+                    EXPECT_TRUE(record.chunk_index == kQuarantinedFirst ||
+                                record.chunk_index == kQuarantinedReused);
+                    EXPECT_TRUE(record.telemetry_snapshot.empty());
+                    continue;
+                }
+                EXPECT_EQ(without_wall_clock_values(record.telemetry_snapshot),
+                          fresh.at(record.chunk_index))
+                    << "threads=" << threads << " chunk " << record.chunk_index;
+            }
+        }
+        EXPECT_EQ(records_seen, chunks) << "threads=" << threads;
+    }
 }
 
 TEST(RunSupervisedTest, QuarantinesInAscendingOrderAndKeepsMerging) {

@@ -8,8 +8,10 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "telemetry/alloc_interpose.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/resource.hpp"
 #include "telemetry/span.hpp"
 
 namespace spinscope::telemetry {
@@ -136,6 +138,144 @@ TEST(MetricsRegistry, NamespacesAreIndependent) {
     EXPECT_NE(registry.find_gauge("same.name"), nullptr);
     EXPECT_NE(registry.find_histogram("same.name"), nullptr);
     EXPECT_EQ(registry.find_counter("missing"), nullptr);
+}
+
+// --- rewind ------------------------------------------------------------------
+
+/// One chunk's worth of publishing: every kind of instrument, some through
+/// handles that outlive a rewind.
+void publish_chunk(MetricsRegistry& registry, Lazy<Counter>& handle_counter,
+                   Lazy<Histogram>& handle_hist, std::uint64_t n) {
+    handle_counter->add(n);
+    handle_hist->record(static_cast<double>(n));
+    // Short names: the temporary std::string stays in its inline buffer.
+    registry.counter("d.counter").add(2 * n);
+    registry.gauge("d.gauge").set_max(static_cast<double>(n));
+    (void)registry.gauge("d.unset");
+}
+
+TEST(MetricsRegistryRewind, ParkedInstrumentsAreInvisible) {
+    MetricsRegistry registry;
+    registry.counter("a.counter").add(5);
+    registry.gauge("a.gauge").set(1.0);
+    registry.histogram("a.hist", {1.0, 2.0, 4}).record(3.0);
+    registry.rewind();
+
+    EXPECT_EQ(registry.size(), 0u);
+    EXPECT_TRUE(registry.counters().empty());
+    EXPECT_TRUE(registry.gauges().empty());
+    EXPECT_TRUE(registry.histograms().empty());
+    EXPECT_EQ(registry.find_counter("a.counter"), nullptr);
+    EXPECT_EQ(registry.find_gauge("a.gauge"), nullptr);
+    EXPECT_EQ(registry.find_histogram("a.hist"), nullptr);
+    EXPECT_EQ(snapshot(registry), snapshot(MetricsRegistry{}));
+    EXPECT_EQ(deterministic_csv(registry), deterministic_csv(MetricsRegistry{}));
+
+    // Merging a rewound registry adds nothing, not even zero instruments.
+    MetricsRegistry target;
+    target.merge_from(registry);
+    EXPECT_EQ(target.size(), 0u);
+}
+
+TEST(MetricsRegistryRewind, LookupBringsBackAFreshInstrumentInPlace) {
+    MetricsRegistry registry;
+    Counter& counter = registry.counter("a.counter");
+    counter.add(5);
+    Gauge& gauge = registry.gauge("a.gauge");
+    gauge.set(7.0);
+    Histogram& hist = registry.histogram("a.hist", {1.0, 2.0, 4});
+    hist.record(3.0);
+    const std::uint64_t epoch = registry.epoch();
+    registry.rewind();
+    EXPECT_EQ(registry.epoch(), epoch + 1);
+
+    EXPECT_EQ(&registry.counter("a.counter"), &counter) << "parked, not freed";
+    EXPECT_EQ(counter.value(), 0u);
+    EXPECT_EQ(&registry.gauge("a.gauge"), &gauge);
+    EXPECT_FALSE(gauge.has_value());
+    EXPECT_EQ(gauge.value(), 0.0);
+    EXPECT_EQ(&registry.histogram("a.hist", {1.0, 2.0, 4}), &hist);
+    EXPECT_EQ(hist.count(), 0u);
+    EXPECT_EQ(hist.sum(), 0.0);
+    EXPECT_EQ(hist.buckets(), (std::vector<std::uint64_t>(4, 0)));
+    EXPECT_EQ(registry.size(), 3u);
+}
+
+TEST(MetricsRegistryRewind, RevivedHistogramTakesTheLookupsGeometry) {
+    // A fresh registry creates the histogram with the first lookup's spec;
+    // a rewound one must too, even when the parked one was built otherwise.
+    MetricsRegistry registry;
+    registry.histogram("a.hist", {1.0, 2.0, 4}).record(3.0);
+    registry.rewind();
+    const Histogram& revived = registry.histogram("a.hist", {0.5, 3.0, 6});
+    EXPECT_EQ(revived.spec(), (HistogramSpec{0.5, 3.0, 6}));
+    EXPECT_EQ(revived.count(), 0u);
+}
+
+TEST(MetricsRegistryRewind, LazyHandleResolvedBeforeRewindBringsItBack) {
+    MetricsRegistry registry;
+    Lazy<Counter> counter{registry, "a.counter"};
+    Lazy<Histogram> hist{registry, "a.hist", HistogramSpec{1.0, 2.0, 4}};
+    Lazy<Gauge> unused_after{registry, "a.gauge"};
+    counter->add(3);
+    hist->record(2.0);
+    unused_after->set(1.0);
+    registry.rewind();
+
+    // A handle used after the rewind revives its instrument, fresh...
+    counter->add(1);
+    EXPECT_EQ(counter->value(), 1u);
+    ASSERT_NE(registry.find_counter("a.counter"), nullptr);
+    EXPECT_EQ(registry.find_counter("a.counter")->value(), 1u);
+    EXPECT_EQ(hist->count(), 0u);
+    // ...and one left unused keeps its instrument parked.
+    EXPECT_EQ(registry.find_gauge("a.gauge"), nullptr);
+    EXPECT_EQ(registry.size(), 2u);
+}
+
+TEST(MetricsRegistryRewind, RewoundRegistryReadsLikeAFreshOne) {
+    // Chunk after chunk into one rewound registry: each chunk's snapshot,
+    // deterministic view and merge equal those of a fresh registry that saw
+    // only that chunk — including chunks that publish fewer instruments.
+    MetricsRegistry reused;
+    Lazy<Counter> counter{reused, "lazy.counter"};
+    Lazy<Histogram> hist{reused, "lazy.hist", HistogramSpec{1.0, 2.0, 8}};
+    MetricsRegistry merged_reused;
+    MetricsRegistry merged_fresh;
+    for (std::uint64_t chunk = 1; chunk <= 4; ++chunk) {
+        reused.rewind();
+        MetricsRegistry fresh;
+        Lazy<Counter> fresh_counter{fresh, "lazy.counter"};
+        Lazy<Histogram> fresh_hist{fresh, "lazy.hist", HistogramSpec{1.0, 2.0, 8}};
+        if (chunk % 2 == 1) {
+            publish_chunk(reused, counter, hist, chunk);
+            publish_chunk(fresh, fresh_counter, fresh_hist, chunk);
+        } else {
+            reused.counter("only.even").add(chunk);
+            fresh.counter("only.even").add(chunk);
+        }
+        EXPECT_EQ(snapshot(reused), snapshot(fresh)) << "chunk " << chunk;
+        EXPECT_EQ(deterministic_csv(reused), deterministic_csv(fresh)) << "chunk " << chunk;
+        merged_reused.merge_from(reused);
+        merged_fresh.merge_from(fresh);
+    }
+    EXPECT_EQ(snapshot(merged_reused), snapshot(merged_fresh));
+}
+
+TEST(MetricsRegistryRewind, ReusingParkedInstrumentsAllocatesNothing) {
+    ASSERT_TRUE(alloc::active());
+    MetricsRegistry registry;
+    Lazy<Counter> counter{registry, "lazy.counter"};
+    Lazy<Histogram> hist{registry, "lazy.hist", HistogramSpec{1.0, 2.0, 8}};
+    publish_chunk(registry, counter, hist, 1);
+
+    const AllocSnapshot before;
+    for (std::uint64_t chunk = 2; chunk < 10; ++chunk) {
+        registry.rewind();
+        publish_chunk(registry, counter, hist, chunk);
+    }
+    EXPECT_EQ(before.count_since(), 0u);
+    EXPECT_EQ(counter->value(), 9u);
 }
 
 TEST(Span, FinishRecordsIntoHistogram) {

@@ -386,11 +386,17 @@ TEST(ResourceProbeTest, AllocCountIsExactAcrossJoinedThreads) {
 
 // The tier-1 twin of spinbench's "heap allocations differ from rep 1" check:
 // a threaded sweep allocates the same number of times however its chunks
-// happen to be scheduled.
+// happen to be scheduled. It also pins how many that is: chunk and attempt
+// set-up (chunk registries, timer state) allocates nothing per chunk or per
+// connection once warm, and a change that brings such costs back crosses
+// the ceiling.
 TEST(ResourceProbeTest, ThreadedSweepAllocatesTheSameEveryRepetition) {
     const web::Population population = tiny_population();
     scanner::ScanOptions options;
     options.threads = 2;
+    // 2-domain chunks: more chunks than result-ring slots, so most chunks
+    // reuse a slot's telemetry, and which worker scans them varies.
+    options.chunk_domains = 2;
     scanner::Campaign campaign{population, options};
     std::vector<std::uint64_t> counts;
     for (int rep = 0; rep < 5; ++rep) {
@@ -404,6 +410,10 @@ TEST(ResourceProbeTest, ThreadedSweepAllocatesTheSameEveryRepetition) {
     for (std::size_t rep = 1; rep < counts.size(); ++rep) {
         EXPECT_EQ(counts[rep], counts[0]) << "rep " << rep;
     }
+    const double per_domain =
+        static_cast<double>(counts[0]) / static_cast<double>(campaign.domain_count());
+    std::printf("threaded sweep: %.2f allocations per domain\n", per_domain);
+    EXPECT_LE(per_domain, 105.0);
 }
 
 TEST(ResourceProbeTest, PublishesObsGaugesOutsideTheDeterministicView) {
