@@ -186,6 +186,28 @@ TEST(BufferPool, PublishMetricsMergesAcrossChunkRegistries) {
     EXPECT_DOUBLE_EQ(merged.gauge("bytes.pool.outstanding_hwm").value(), 2.0);
 }
 
+TEST(BufferPool, BeginUseRestartsTheHighWaterMark) {
+    // A pool that outlives one use publishes each use's own share: its
+    // counters since begin_use() and the high-water mark reached in it.
+    BufferPool pool;
+    {
+        Buffer a = pool.acquire();
+        Buffer b = pool.acquire();
+        Buffer c = pool.acquire();
+    }
+    Buffer held = pool.acquire();
+    const BufferPool::Stats since = pool.begin_use();
+    EXPECT_EQ(pool.stats().outstanding_hwm, 1u);
+    { Buffer d = pool.acquire(); }
+    telemetry::MetricsRegistry registry;
+    BufferPool::Metrics metrics{registry};
+    pool.publish_metrics(metrics, since);
+    EXPECT_EQ(registry.counter("bytes.pool.acquires").value(), 1u);
+    EXPECT_EQ(registry.counter("bytes.pool.hits").value(), 1u);
+    EXPECT_EQ(registry.counter("bytes.pool.misses").value(), 0u);
+    EXPECT_DOUBLE_EQ(registry.gauge("bytes.pool.outstanding_hwm").value(), 2.0);
+}
+
 TEST(ByteWriter, WritesInPlaceIntoPooledBuffer) {
     BufferPool pool;
     Buffer b = pool.acquire(64);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 
 #include "netsim/link.hpp"
 #include "quic/connection.hpp"
@@ -471,6 +472,42 @@ TEST_F(CampaignTest, ProgressCallbackFiresEveryN) {
     for (std::size_t i = 0; i < checkpoints.size(); ++i) {
         EXPECT_EQ(checkpoints[i], (i + 1) * 2);
     }
+}
+
+TEST_F(CampaignTest, ScanDomainPublishesOnlyItsOwnPoolHighWaterMark) {
+    // Campaigns made on one thread share one scan_domain() datagram pool. A
+    // campaign's registry must read the high-water mark of its own scans,
+    // as a campaign with a pool of its own would, not the pool's lifetime
+    // maximum reached by another campaign's scans.
+    const auto* quiet = find_domain(false);
+    const auto* busy = find_domain(true);
+    ASSERT_NE(quiet, nullptr);
+    ASSERT_NE(busy, nullptr);
+    const auto hwm_of = [](const telemetry::MetricsRegistry& registry) {
+        const auto* gauge = registry.find_gauge("bytes.pool.outstanding_hwm");
+        return gauge != nullptr ? gauge->value() : -1.0;
+    };
+    double alone = 0.0;
+    std::thread fresh_thread{[&] {
+        Campaign campaign{population_, {}};
+        telemetry::MetricsRegistry registry;
+        campaign.set_metrics(&registry);
+        (void)campaign.scan_domain(*quiet);
+        alone = hwm_of(registry);
+    }};
+    fresh_thread.join();
+
+    Campaign first{population_, {}};
+    telemetry::MetricsRegistry first_registry;
+    first.set_metrics(&first_registry);
+    (void)first.scan_domain(*busy);
+    ASSERT_GT(hwm_of(first_registry), alone) << "the busy scan must reach higher";
+
+    Campaign second{population_, {}};
+    telemetry::MetricsRegistry second_registry;
+    second.set_metrics(&second_registry);
+    (void)second.scan_domain(*quiet);
+    EXPECT_DOUBLE_EQ(hwm_of(second_registry), alone);
 }
 
 TEST_F(CampaignTest, MetricsRegistrySpansAllLayers) {
